@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -83,25 +84,12 @@ class IpcCache:
         seed: int,
         warmup: int = 12_000,
     ) -> str:
-        parts = [
-            benchmark,
-            "rescue" if config.rescue else "base",
-            f"fe{config.frontend_groups}",
-            f"ib{config.int_backend_groups}",
-            f"fb{config.fp_backend_groups}",
-            f"qi{config.iq_int_halves}",
-            f"qf{config.iq_fp_halves}",
-            f"ls{config.lsq_halves}",
-            f"cb{config.compaction_buffer}",
-            f"rp{config.replay_policy}",
-            f"tg{config.tech_generations}",
-            f"iq{config.core.iq_int_size}",
-            f"mp{config.core.mispredict_penalty}",
-            f"n{n_instructions}",
-            f"w{warmup}",
-            f"s{seed}",
-        ]
-        return ":".join(parts)
+        """Memo key: the whole machine configuration (every
+        ``CoreParams`` field included) plus the run parameters."""
+        from repro.runner.store import config_hash
+
+        machine = config_hash(asdict(config))
+        return f"{benchmark}:{machine}:n{n_instructions}:w{warmup}:s{seed}"
 
     def get_or_run(
         self,

@@ -119,6 +119,14 @@ class Core:
         # Completion bookkeeping: optimistic (wakeup) and actual times.
         self.opt_done: Dict[int, float] = {}
         self.act_done: Dict[int, float] = {}
+        # Readiness cache: each dispatched instruction's earliest ready
+        # cycle (the latest optimistic completion among its in-flight
+        # producers), and each in-flight producer's consumers.  Every
+        # opt_done write or pop goes through _wake, which recomputes the
+        # producer's consumers, so a cached value never outlives its
+        # inputs.  Neither is part of the snapshot: restore rebuilds both.
+        self._ready_at: Dict[int, float] = {}
+        self._waiters: Dict[int, List[Instr]] = {}
         self.pending_fixes: List = []  # (discover_cycle, seq)
         self.rob: deque = deque()
         self._rob_index: Dict[int, RobEntry] = {}
@@ -162,16 +170,39 @@ class Core:
 
     # ------------------------------------------------------------------
     def _ready(self, instr: Instr, cycle: int) -> bool:
+        forced = self._forced
+        if forced and instr.seq in forced:
+            return True
+        return self._ready_at[instr.seq] <= cycle
+
+    def _earliest(self, instr: Instr) -> float:
+        """Latest optimistic completion among in-flight producers."""
         opt = self.opt_done
         seq = instr.seq
-        forced = self._forced
-        if forced and seq in forced:
-            return True
+        at = 0
         for d in instr.deps:
             t = opt.get(seq - d)
-            if t is not None and t > cycle:
-                return False
-        return True
+            if t is not None and t > at:
+                at = t
+        return at
+
+    def _watch(self, instr: Instr) -> None:
+        """Cache a waiting instruction's readiness and subscribe it to
+        its in-flight producers."""
+        for d in instr.deps:
+            p = instr.seq - d
+            if p in self.opt_done:
+                self._waiters.setdefault(p, []).append(instr)
+        self._ready_at[instr.seq] = self._earliest(instr)
+
+    def _wake(self, seq: int) -> None:
+        """Recompute the cached readiness of ``seq``'s consumers after
+        its ``opt_done`` entry changed."""
+        consumers = self._waiters.get(seq)
+        if consumers:
+            ready_at = self._ready_at
+            for c in consumers:
+                ready_at[c.seq] = self._earliest(c)
 
     def _missed_speculation(self, instr: Instr, cycle: int) -> bool:
         act = self.act_done
@@ -323,10 +354,14 @@ class Core:
                     break
             if instr.op is OpClass.STORE and instr.addr is not None:
                 self.mem.store_touch(instr.addr)
-            self.opt_done.pop(instr.seq, None)
-            self.act_done.pop(instr.seq, None)
-            self._rob_index.pop(instr.seq, None)
-            last_seq = instr.seq
+            seq = instr.seq
+            self.opt_done.pop(seq, None)
+            self._wake(seq)
+            self._waiters.pop(seq, None)
+            self._ready_at.pop(seq, None)
+            self.act_done.pop(seq, None)
+            self._rob_index.pop(seq, None)
+            last_seq = seq
             n += 1
         if last_seq is not None:
             self.lsq.retire_upto(last_seq)
@@ -341,6 +376,7 @@ class Core:
             if discover <= cycle:
                 if seq in self.opt_done:
                     self.opt_done[seq] = self.act_done.get(seq, _INF)
+                    self._wake(seq)
             else:
                 keep.append((discover, seq))
         self.pending_fixes = keep
@@ -381,14 +417,12 @@ class Core:
     def _trim(self, old_sel, new_sel, limits, cycle):
         """Keep the oldest selections that fit the limits; replay the rest
         individually (the 'trim' ablation policy)."""
-        from repro.cpu.queues import resource_of
-
         used = {r: 0 for r in limits}
         survivors = []
         dropped = []
         merged = sorted(old_sel + new_sel, key=lambda e: e.instr.seq)
         for e in merged:
-            res = resource_of(e.instr.op)
+            res = e.resource
             if (
                 used["slots"] + 1 <= limits["slots"]
                 and used.get(res, 0) + 1 <= limits.get(res, 0)
@@ -427,6 +461,7 @@ class Core:
                 opt = cycle + l1_lat
                 self.act_done[instr.seq] = act
                 self.opt_done[instr.seq] = opt
+                self._wake(instr.seq)
                 if act > opt:
                     # Hit/miss is known one cycle after the tag check —
                     # one more in Rescue, whose shift stage sits between
@@ -442,6 +477,7 @@ class Core:
                 done = cycle + latency
                 self.act_done[instr.seq] = done
                 self.opt_done[instr.seq] = done
+                self._wake(instr.seq)
             self.issued_total += 1
             self._rob_index[instr.seq].done = self.act_done[instr.seq]
             if self.arch is not None:
@@ -476,6 +512,7 @@ class Core:
             self.rob.append(entry)
             self._rob_index[instr.seq] = entry
             self.opt_done[instr.seq] = _INF
+            self._watch(instr)
             queue.insert(instr, cycle)
             if instr.op.is_mem:
                 self.lsq.insert(
@@ -609,6 +646,11 @@ class Core:
         self.opt_done = dict(snap["opt_done"])
         self.act_done = dict(snap["act_done"])
         self.pending_fixes = list(snap["pending_fixes"])
+        self._ready_at = {}
+        self._waiters = {}
+        for queue in (self.iq_int, self.iq_fp):
+            for e in queue.entries:
+                self._watch(e.instr)
         (
             self.replays, self.load_squashes, self.issued_total,
             self.iq_occupancy_sum, self.stall_rob_full,

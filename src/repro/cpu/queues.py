@@ -11,7 +11,9 @@ Two issue-queue models:
   buffer for a cycle (selectable never, wakeable always — wakeup is
   implicit in the readiness predicate), and each half selects
   independently; the pipeline applies the paper's replay rule when the
-  combined selection oversubscribes the backend.
+  combined selection oversubscribes the backend.  The three segments are
+  kept as separate age-ordered lists whose concatenation
+  ``old + buf + new`` is the global age order.
 
 Both queues release an issued entry's slot ``issue_to_free`` cycles after
 issue (2 baseline, 3 Rescue — the extra shift stage), and un-issue entries
@@ -24,29 +26,34 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cpu.isa import Instr, OpClass
 
+_NEVER = float("inf")
+
 #: Resource names used in selection limits.
 RESOURCES = ("slots", "alu", "mul", "fadd", "fmul", "mem")
 
 
+_RESOURCE = {
+    OpClass.IALU: "alu",
+    OpClass.BRANCH: "alu",
+    OpClass.IMUL: "mul",
+    OpClass.FADD: "fadd",
+    OpClass.FMUL: "fmul",
+    OpClass.LOAD: "mem",
+    OpClass.STORE: "mem",
+}
+
+
 def resource_of(op: OpClass) -> str:
     """Execution resource class an operation consumes."""
-    return {
-        OpClass.IALU: "alu",
-        OpClass.BRANCH: "alu",
-        OpClass.IMUL: "mul",
-        OpClass.FADD: "fadd",
-        OpClass.FMUL: "fmul",
-        OpClass.LOAD: "mem",
-        OpClass.STORE: "mem",
-    }[op]
+    return _RESOURCE[op]
 
 
 class IqEntry:
-    """One issue-queue entry."""
+    """One issue-queue entry; ``resource`` is fixed at insert."""
 
     __slots__ = (
         "instr", "segment", "issued_at", "entered_segment_at",
-        "blocked_until",
+        "blocked_until", "resource",
     )
 
     def __init__(self, instr: Instr, segment: str, cycle: int) -> None:
@@ -57,6 +64,7 @@ class IqEntry:
         # Earliest cycle this entry may be selected again after a replay
         # (the replay is discovered from latched counts a cycle later).
         self.blocked_until = 0
+        self.resource = _RESOURCE[instr.op]
 
 
 def _entry_tuple(e: IqEntry) -> tuple:
@@ -83,20 +91,18 @@ def _select_from(
     limits: Dict[str, int],
 ) -> List[IqEntry]:
     """Oldest-first selection under resource limits."""
-    used = {r: 0 for r in limits}
     picked: List[IqEntry] = []
+    slots = limits["slots"]
     for e in entries:
         if e.issued_at is not None or e.blocked_until > cycle:
             continue
         if not ready(e.instr, cycle):
             continue
-        res = resource_of(e.instr.op)
-        if used["slots"] + 1 > limits["slots"]:
+        if len(picked) >= slots:
             break
-        if used.get(res, 0) + 1 > limits.get(res, 0):
+        res = e.resource
+        if sum(p.resource == res for p in picked) >= limits.get(res, 0):
             continue
-        used["slots"] += 1
-        used[res] = used.get(res, 0) + 1
         picked.append(e)
     for e in picked:
         e.issued_at = cycle
@@ -107,12 +113,34 @@ def combined_violates(
     sel_a: List[IqEntry], sel_b: List[IqEntry], limits: Dict[str, int]
 ) -> bool:
     """True when the union of two selections oversubscribes a resource."""
-    used = {r: 0 for r in limits}
-    for e in sel_a + sel_b:
-        used["slots"] += 1
-        res = resource_of(e.instr.op)
-        used[res] = used.get(res, 0) + 1
-    return any(used[r] > limits[r] for r in used)
+    both = sel_a + sel_b
+    if len(both) > limits["slots"]:
+        return True
+    used: Dict[str, int] = {}
+    for e in both:
+        used[e.resource] = used.get(e.resource, 0) + 1
+    return any(n > limits[r] for r, n in used.items())
+
+
+def _release(
+    segments: List[List[IqEntry]], cycle: int, itf: int
+) -> float:
+    """Drop entries issued at least ``itf`` cycles ago from each list (in
+    place); return the cycle the next remaining issued entry frees."""
+    nxt = _NEVER
+    for seg in segments:
+        keep = []
+        for e in seg:
+            t = e.issued_at
+            if t is not None:
+                t += itf
+                if cycle >= t:
+                    continue
+                if t < nxt:
+                    nxt = t
+            keep.append(e)
+        seg[:] = keep
+    return nxt
 
 
 def replay_entries(entries: List[IqEntry], cycle: int, penalty: int) -> None:
@@ -125,20 +153,26 @@ def replay_entries(entries: List[IqEntry], cycle: int, penalty: int) -> None:
 
 
 class CompactingIssueQueue:
-    """Baseline single-window compacting queue."""
+    """Baseline single-window compacting queue.
+
+    ``_release_at`` is a lower bound on the next cycle an issued entry's
+    slot frees, so :meth:`tick` skips the release pass until then:
+    selection lowers it, a release pass recomputes it, and a replay can
+    only leave it early, which costs one idle pass.
+    """
 
     def __init__(self, size: int, issue_to_free: int = 2) -> None:
         self.size = size
         self.issue_to_free = issue_to_free
         self.entries: List[IqEntry] = []
+        self._release_at = _NEVER
 
     def tick(self, cycle: int) -> None:
         """Release the slots of entries issued long enough ago."""
-        self.entries = [
-            e
-            for e in self.entries
-            if e.issued_at is None or cycle < e.issued_at + self.issue_to_free
-        ]
+        if cycle >= self._release_at:
+            self._release_at = _release(
+                [self.entries], cycle, self.issue_to_free
+            )
 
     def can_insert(self) -> bool:
         return len(self.entries) < self.size
@@ -154,7 +188,12 @@ class CompactingIssueQueue:
         ready: Callable[[Instr, int], bool],
         limits: Dict[str, int],
     ) -> List[IqEntry]:
-        return _select_from(self.entries, cycle, ready, limits)
+        picked = _select_from(self.entries, cycle, ready, limits)
+        if picked:
+            self._release_at = min(
+                self._release_at, cycle + self.issue_to_free
+            )
+        return picked
 
     def replay(self, entries: List[IqEntry]) -> None:
         for e in entries:
@@ -172,14 +211,24 @@ class CompactingIssueQueue:
         self.entries = [
             _entry_from_tuple(t, resolve) for t in snap["entries"]
         ]
+        self._release_at = 0  # recomputed by the next tick
 
 
 class SegmentedIssueQueue:
     """Rescue's two-half queue with the temporary compaction latch.
 
+    The old half, the compaction buffer and the new half are three
+    age-ordered lists (``old``, ``buf``, ``new``), updated in place by
+    :meth:`tick`, :meth:`insert` and :meth:`restore`.  Entries only ever
+    move old-ward in age order, so ``old + buf + new`` is the global age
+    order (:attr:`entries`) and each list is exactly the entries whose
+    ``segment`` names it.  ``_release_at`` bounds the next slot release
+    as in :class:`CompactingIssueQueue`.
+
     When ``halves == 1`` (one half mapped out), the queue degrades to a
     single window of half the size fed directly from rename (Section
-    4.1.3) and behaves like the baseline policy at that size.
+    4.1.3) and behaves like the baseline policy at that size; every
+    entry then lives in ``old``.
     """
 
     def __init__(
@@ -201,59 +250,66 @@ class SegmentedIssueQueue:
             self.buffer_cap = compaction_buffer
             self.half_cap = (size - compaction_buffer) // 2
             self.size = size
-        self.entries: List[IqEntry] = []  # global age order
+        self.old: List[IqEntry] = []
+        self.buf: List[IqEntry] = []
+        self.new: List[IqEntry] = []
         self._request_pending = False
+        self._release_at = _NEVER
+
+    @property
+    def entries(self) -> List[IqEntry]:
+        """All entries in global age order (a fresh list)."""
+        return self.old + self.buf + self.new
 
     # ------------------------------------------------------------------
-    def _seg(self, name: str) -> List[IqEntry]:
-        return [e for e in self.entries if e.segment == name]
-
     def tick(self, cycle: int) -> None:
         """Release issued slots, then run the cycle-split compaction."""
-        self.entries = [
-            e
-            for e in self.entries
-            if e.issued_at is None or cycle < e.issued_at + self.issue_to_free
-        ]
+        old, buf, new = self.old, self.buf, self.new
+        if cycle >= self._release_at:
+            self._release_at = _release(
+                [old, buf, new], cycle, self.issue_to_free
+            )
         if self.halves == 1:
             return
-        old = self._seg("old")
-        buf = self._seg("buf")
-        new = self._seg("new")
         # Buffer -> old: entries that spent a full cycle in the latch.
         holes = self.half_cap - len(old)
-        moved = 0
-        for e in buf:
-            if moved >= holes:
-                break
-            if e.entered_segment_at < cycle:
-                e.segment = "old"
-                e.entered_segment_at = cycle
-                moved += 1
+        if buf and holes > 0:
+            stay = []
+            for e in buf:
+                if holes > 0 and e.entered_segment_at < cycle:
+                    e.segment = "old"
+                    e.entered_segment_at = cycle
+                    old.append(e)
+                    holes -= 1
+                else:
+                    stay.append(e)
+            buf[:] = stay
         # New -> buffer, only if the old half asked last cycle.
         if self._request_pending:
-            space = self.buffer_cap - len(self._seg("buf"))
-            moved_new = 0
-            for e in new:
-                if moved_new >= space:
-                    break
-                e.segment = "buf"
-                e.entered_segment_at = cycle
-                moved_new += 1
+            space = self.buffer_cap - len(buf)
+            if space > 0 and new:
+                moving = new[:space]
+                for e in moving:
+                    e.segment = "buf"
+                    e.entered_segment_at = cycle
+                buf.extend(moving)
+                del new[:space]
         # Latch this cycle's request for the next one (cycle splitting).
-        self._request_pending = len(self._seg("old")) < self.half_cap
+        self._request_pending = len(old) < self.half_cap
 
     # ------------------------------------------------------------------
     def can_insert(self) -> bool:
         if self.halves == 1:
-            return len(self.entries) < self.half_cap
-        return len(self._seg("new")) < self.half_cap
+            return len(self.old) < self.half_cap
+        return len(self.new) < self.half_cap
 
     def insert(self, instr: Instr, cycle: int) -> None:
         if not self.can_insert():
             raise RuntimeError("issue queue overflow")
-        seg = "old" if self.halves == 1 else "new"
-        self.entries.append(IqEntry(instr, seg, cycle))
+        if self.halves == 1:
+            self.old.append(IqEntry(instr, "old", cycle))
+        else:
+            self.new.append(IqEntry(instr, "new", cycle))
 
     # ------------------------------------------------------------------
     def select_halves(
@@ -263,10 +319,15 @@ class SegmentedIssueQueue:
         limits: Dict[str, int],
     ):
         """(old selection, new selection); buffer entries never issue."""
-        old_sel = _select_from(self._seg("old"), cycle, ready, limits)
-        if self.halves == 1:
-            return old_sel, []
-        new_sel = _select_from(self._seg("new"), cycle, ready, limits)
+        old_sel = _select_from(self.old, cycle, ready, limits)
+        new_sel = (
+            _select_from(self.new, cycle, ready, limits)
+            if self.halves == 2 else []
+        )
+        if old_sel or new_sel:
+            self._release_at = min(
+                self._release_at, cycle + self.issue_to_free
+            )
         return old_sel, new_sel
 
     def replay(self, entries: List[IqEntry]) -> None:
@@ -274,7 +335,7 @@ class SegmentedIssueQueue:
             e.issued_at = None
 
     def occupancy(self) -> int:
-        return len(self.entries)
+        return len(self.old) + len(self.buf) + len(self.new)
 
     def snapshot(self) -> dict:
         """Entries in global age order plus the compaction-request latch."""
@@ -284,11 +345,14 @@ class SegmentedIssueQueue:
         }
 
     def restore(self, snap: dict, resolve) -> None:
-        """Rebuild entries (age order preserved) and the request latch."""
-        self.entries = [
-            _entry_from_tuple(t, resolve) for t in snap["entries"]
-        ]
+        """Rebuild the segments (age order preserved) and the latch."""
+        segs: Dict[str, List[IqEntry]] = {"old": [], "buf": [], "new": []}
+        for t in snap["entries"]:
+            e = _entry_from_tuple(t, resolve)
+            segs[e.segment].append(e)
+        self.old, self.buf, self.new = segs["old"], segs["buf"], segs["new"]
         self._request_pending = snap["request_pending"]
+        self._release_at = 0  # recomputed by the next tick
 
 
 class LoadStoreQueue:

@@ -260,13 +260,13 @@ class FaultyArchState(ArchState):
             if queue.halves == 1:
                 if slot >= half:
                     return None  # half 1 / latch slots are mapped out
-                seg, idx = queue._seg("old"), slot
+                seg, idx = queue.old, slot
             elif slot < half:
-                seg, idx = queue._seg("old"), slot
+                seg, idx = queue.old, slot
             elif slot < 2 * half:
-                seg, idx = queue._seg("new"), slot - half
+                seg, idx = queue.new, slot - half
             else:
-                seg, idx = queue._seg("buf"), slot - 2 * half
+                seg, idx = queue.buf, slot - 2 * half
         else:
             seg, idx = queue.entries, slot
         return seg[idx] if 0 <= idx < len(seg) else None

@@ -30,10 +30,6 @@ from typing import Dict, List, Tuple
 from repro.cpu.params import MachineConfig
 from repro.cpu.queues import SegmentedIssueQueue
 
-#: Offsets of the segmented queue's segments into the physical slot
-#: numbering used by site enumeration (old half, new half, latch).
-_SEGMENTS = ("old", "new", "buf")
-
 
 class SiteProfile:
     """Sampled per-site residency counts from one golden run."""
@@ -65,15 +61,17 @@ class SiteProfile:
                 isinstance(queue, SegmentedIssueQueue)
                 and queue.halves == 2
             ):
-                offs = {"old": 0, "new": half, "buf": 2 * half}
-                pos = {s: 0 for s in _SEGMENTS}
-                for e in queue.entries:
-                    k = (struct, offs[e.segment] + pos[e.segment])
-                    pos[e.segment] += 1
-                    counts[k] = counts.get(k, 0) + 1
+                # Each segment packs from its physical slot offset (site
+                # numbering: old half, new half, latch); visit in age order.
+                for off, seg in (
+                    (0, queue.old), (2 * half, queue.buf), (half, queue.new)
+                ):
+                    for i in range(off, off + len(seg)):
+                        k = (struct, i)
+                        counts[k] = counts.get(k, 0) + 1
             else:
                 # Compacting or degraded-segmented: entries pack from 0.
-                for i in range(len(queue.entries)):
+                for i in range(queue.occupancy()):
                     k = (struct, i)
                     counts[k] = counts.get(k, 0) + 1
         for i in range(len(core.lsq.entries)):

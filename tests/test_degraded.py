@@ -39,6 +39,22 @@ class TestIpcCache:
         c = IpcCache.key("gzip", MachineConfig(rescue=True), 1000, 2)
         assert len({a, b, c}) == 3
 
+    def test_key_covers_every_core_param(self, tmp_path):
+        # Machines differing only in a CoreParams field the old key left
+        # out (FP queue size, L2 latency) must not share a memo entry.
+        from dataclasses import replace
+
+        base = MachineConfig(rescue=True)
+        fp = replace(base, core=replace(base.core, iq_fp_size=20))
+        l2 = replace(base, core=replace(base.core, l2_latency=30))
+        keys = {IpcCache.key("gzip", m, 800, 12345, 400)
+                for m in (base, fp, l2)}
+        assert len(keys) == 3
+        cache = IpcCache(tmp_path / "ipc.json")
+        for m in (base, fp, l2):
+            cache.get_or_run("gzip", m, n_instructions=400, warmup=200)
+        assert len(json.loads((tmp_path / "ipc.json").read_text())) == 3
+
     def test_cache_roundtrip(self, tmp_path):
         cache = IpcCache(tmp_path / "ipc.json")
         cfg = MachineConfig(rescue=True)

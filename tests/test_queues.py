@@ -5,6 +5,7 @@ import pytest
 from repro.cpu.isa import Instr, OpClass
 from repro.cpu.queues import (
     CompactingIssueQueue,
+    IqEntry,
     LoadStoreQueue,
     SegmentedIssueQueue,
     combined_violates,
@@ -77,7 +78,7 @@ class TestSegmentedQueue:
     def test_insert_goes_to_new_half(self):
         q = SegmentedIssueQueue(size=12, compaction_buffer=2)
         q.insert(_ins(0), 0)
-        assert q._seg("new") and not q._seg("old")
+        assert q.new and not q.old
 
     def test_compaction_is_cycle_split(self):
         """New entries reach the old half only after the request latch and
@@ -85,11 +86,11 @@ class TestSegmentedQueue:
         q = SegmentedIssueQueue(size=12, compaction_buffer=2)
         q.insert(_ins(0), 0)
         q.tick(1)  # old half empty -> request latched; nothing moves yet
-        assert q._seg("new")
+        assert q.new
         q.tick(2)  # request seen: entry moves new -> buffer
-        assert q._seg("buf")
+        assert q.buf
         q.tick(3)  # buffer -> old after a full cycle in the latch
-        assert q._seg("old")
+        assert q.old
 
     def test_buffer_entries_not_selectable(self):
         q = SegmentedIssueQueue(size=12, compaction_buffer=2)
@@ -134,16 +135,16 @@ class TestSegmentedQueue:
 
 class TestCombinedViolation:
     def test_detects_slot_oversubscription(self):
-        a = [type("E", (), {"instr": _ins(i)})() for i in range(3)]
-        b = [type("E", (), {"instr": _ins(10 + i)})() for i in range(2)]
+        a = [IqEntry(_ins(i), "old", 0) for i in range(3)]
+        b = [IqEntry(_ins(10 + i), "new", 0) for i in range(2)]
         assert combined_violates(a, b, LIMITS)
         assert not combined_violates(a[:2], b, LIMITS)
 
     def test_detects_port_oversubscription(self):
-        loads_a = [type("E", (), {"instr": _ins(0, OpClass.LOAD)})()]
+        loads_a = [IqEntry(_ins(0, OpClass.LOAD), "old", 0)]
         loads_b = [
-            type("E", (), {"instr": _ins(1, OpClass.LOAD)})(),
-            type("E", (), {"instr": _ins(2, OpClass.LOAD)})(),
+            IqEntry(_ins(1, OpClass.LOAD), "new", 0),
+            IqEntry(_ins(2, OpClass.LOAD), "new", 0),
         ]
         assert combined_violates(loads_a, loads_b, LIMITS)
 

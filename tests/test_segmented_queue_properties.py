@@ -32,9 +32,9 @@ def test_segment_capacities_respected(size, buf, ops):
         else:
             cycle += 1
             q.tick(cycle)
-        assert len(q._seg("old")) <= q.half_cap
-        assert len(q._seg("buf")) <= q.buffer_cap
-        assert len(q._seg("new")) <= q.half_cap
+        assert len(q.old) <= q.half_cap
+        assert len(q.buf) <= q.buffer_cap
+        assert len(q.new) <= q.half_cap
         assert q.occupancy() <= q.size
 
 
@@ -53,9 +53,9 @@ def test_age_order_preserved_through_compaction(n_insert, ticks):
             q.insert(Instr(seq=s, op=OpClass.IALU, pc=0), 0)
     for t in range(1, ticks + 1):
         q.tick(t)
-        old = [e.instr.seq for e in q._seg("old")]
-        buf = [e.instr.seq for e in q._seg("buf")]
-        new = [e.instr.seq for e in q._seg("new")]
+        old = [e.instr.seq for e in q.old]
+        buf = [e.instr.seq for e in q.buf]
+        new = [e.instr.seq for e in q.new]
         if old and buf:
             assert max(old) < min(buf)
         if buf and new:
@@ -77,4 +77,4 @@ def test_everything_eventually_reaches_old_half(ticks):
         q.tick(t)
     # Each entry needs at most 3 cycles per buffer batch of 2.
     if ticks >= 3 * n:
-        assert len(q._seg("old")) == n
+        assert len(q.old) == n
