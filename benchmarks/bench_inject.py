@@ -215,8 +215,8 @@ def _measure_grouped_replay(spec, workers: int) -> dict:
     """
     from dataclasses import replace
 
-    from repro.inject import run_injection
-    from repro.inject import campaign as campaign_mod
+    from repro.inject import prepare_injection, run_injection
+    from repro.runner import clear_contexts
     from repro.telemetry import TELEMETRY
 
     fine = 48
@@ -237,7 +237,7 @@ def _measure_grouped_replay(spec, workers: int) -> dict:
             t0 = time.perf_counter()
             base_stats = {}
             for name, s in baseline.items():
-                campaign_mod._INJECT.clear()
+                clear_contexts()
                 base_stats[name] = run_injection(
                     s, workers=workers, checkpoint=False
                 )
@@ -247,13 +247,12 @@ def _measure_grouped_replay(spec, workers: int) -> dict:
             t0 = time.perf_counter()
             grp_stats = {}
             for name, s in contender.items():
-                campaign_mod._INJECT.clear()
+                clear_contexts()
                 grp_stats[name] = run_injection(
                     s, workers=workers, checkpoint=False
                 )
-                arena[name] = campaign_mod._INJECT[
-                    "golden"
-                ].arena.stats()
+                golden, _faults = prepare_injection(s)  # cached
+                arena[name] = golden.arena.stats()
             grp_wall = time.perf_counter() - t0
     finally:
         TELEMETRY.disable()
@@ -311,7 +310,7 @@ def _golden_cache_probe(spec, workers: int = 1) -> dict:
     from dataclasses import replace
 
     from repro.inject import run_injection
-    from repro.inject import campaign as campaign_mod
+    from repro.runner import clear_contexts
     from repro.telemetry import TELEMETRY
 
     s = replace(spec, golden_cache=True)
@@ -320,12 +319,12 @@ def _golden_cache_probe(spec, workers: int = 1) -> dict:
         os.environ["REPRO_CACHE_DIR"] = cache
         TELEMETRY.enable()
         try:
-            campaign_mod._INJECT.clear()
+            clear_contexts()
             with TELEMETRY.collect() as cold:
                 cold_stats = run_injection(
                     s, workers=workers, checkpoint=False
                 )
-            campaign_mod._INJECT.clear()
+            clear_contexts()
             with TELEMETRY.collect() as warm:
                 warm_stats = run_injection(
                     s, workers=workers, checkpoint=False
@@ -333,7 +332,7 @@ def _golden_cache_probe(spec, workers: int = 1) -> dict:
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
-            campaign_mod._INJECT.clear()
+            clear_contexts()
             if saved is None:
                 os.environ.pop("REPRO_CACHE_DIR", None)
             else:

@@ -40,7 +40,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.runner.registry import REGISTRY
+from repro.runner.registry import REGISTRY, get_campaign
 
 #: Campaigns `repro run` and the service can drive; sourced from the
 #: runner registry so parser choices, dispatch, and the CLI tests' round
@@ -101,24 +101,15 @@ def _cmd_ipc(args: argparse.Namespace) -> int:
 
 
 def _cmd_yat(args: argparse.Namespace) -> int:
+    from repro.runner.campaigns import analytic_penalty_table
     from repro.yieldmodel import FaultDensityModel, YatModel, cores_per_chip
-    from repro.yieldmodel.yat import flat_rescue_ipc
-
-    def penalty(cfg):
-        factor = 1.0
-        for dim, cost in (("frontend", 0.82), ("int_backend", 0.78),
-                          ("fp_backend", 0.96), ("iq_int", 0.93),
-                          ("iq_fp", 0.98), ("lsq", 0.94)):
-            if getattr(cfg, dim) == 1:
-                factor *= cost
-        return factor
 
     anchor = (90.0, 1) if args.stagnation == 90 else (65.0, 2)
     model = YatModel(
         density=FaultDensityModel(stagnation_node_nm=args.stagnation),
         growth=args.growth / 100,
         baseline_ipc=2.05,
-        rescue_ipc=flat_rescue_ipc(2.0, penalty),
+        rescue_ipc=analytic_penalty_table(2.0),
         anchor=anchor,
     )
     print(f"{'node':>6s} {'cores':>5s} {'none':>6s} {'CS':>6s} "
@@ -204,27 +195,28 @@ def _progress_printer(campaign: str):
     return progress
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.runner import (
-        IpcSweepSpec,
-        IsolationSpec,
-        MonteCarloSpec,
-        run_ipc_sweep,
-        run_isolation,
-        run_montecarlo,
-    )
-
-    common = dict(
+def _run(name: str, spec, args: argparse.Namespace):
+    """Run ``spec`` through the registered campaign with the runner flags."""
+    return REGISTRY[name].run(
+        spec,
         workers=args.workers,
         resume=args.resume,
         checkpoint=not args.no_checkpoint,
         cache_root=args.cache_dir,
+        progress=_progress_printer(name),
     )
-    if args.campaign == "decide":
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.inject import InjectionSpec
+    from repro.runner import IpcSweepSpec, IsolationSpec, MonteCarloSpec
+
+    name = args.campaign
+    if name == "decide":
         return _cmd_decide(args)
-    if args.campaign == "repair":
+    if name == "repair":
         return _cmd_repair(args)
-    if args.campaign == "isolation":
+    if name == "isolation":
         spec = IsolationSpec(
             tiny=args.tiny,
             baseline=args.baseline,
@@ -232,25 +224,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             n_faults=args.faults if args.faults is not None else 600,
             chunk_size=args.chunk_size or 50,
         )
-        stats = run_isolation(
-            spec, progress=_progress_printer("isolation"), **common
-        )
-        print(stats.summary())
-        return 0 if stats.correct_rate == 1.0 or args.baseline else 1
-    if args.campaign == "inject":
-        from repro.inject import InjectionSpec, run_injection
-
+    elif name == "inject":
         spec = InjectionSpec(
             n_faults=args.faults if args.faults is not None else 64,
             seed=args.seed,
             chunk_size=args.chunk_size or 8,
         )
-        stats = run_injection(
-            spec, progress=_progress_printer("inject"), **common
-        )
-        print(stats.summary())
-        return 0
-    if args.campaign == "montecarlo":
+    elif name == "montecarlo":
         spec = MonteCarloSpec(
             node_nm=args.node,
             growth=args.growth / 100,
@@ -259,35 +239,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             chunk_size=args.chunk_size or 250,
         )
-        mc = run_montecarlo(
-            spec, progress=_progress_printer("montecarlo"), **common
+    else:
+        spec = IpcSweepSpec(
+            benchmarks=tuple(args.benchmarks) or _all_benchmarks(),
+            n_instructions=(
+                args.instructions if args.instructions is not None
+                else 20_000
+            ),
+            warmup=args.warmup if args.warmup is not None else 12_000,
+            compose=not args.full,
+            chunk_size=args.chunk_size or 1,
         )
-        print(mc.summary())
+    result = _run(name, spec, args)
+    if name == "ipc":
+        tables = result.tables(compose=spec.compose)
+        print(f"{'benchmark':10s} {'full IPC':>9s} {'worst-config':>13s}")
+        for bench, table in tables.items():
+            print(
+                f"{bench:10s} {max(table.values()):9.3f} "
+                f"{min(table.values()):13.3f}"
+            )
         return 0
-    spec = IpcSweepSpec(
-        benchmarks=tuple(args.benchmarks) or _all_benchmarks(),
-        n_instructions=(
-            args.instructions if args.instructions is not None else 20_000
-        ),
-        warmup=args.warmup if args.warmup is not None else 12_000,
-        compose=not args.full,
-        chunk_size=args.chunk_size or 1,
-    )
-    sweep = run_ipc_sweep(
-        spec, progress=_progress_printer("ipc"), **common
-    )
-    tables = sweep.tables(compose=spec.compose)
-    print(f"{'benchmark':10s} {'full IPC':>9s} {'worst-config':>13s}")
-    for bench, table in tables.items():
-        print(
-            f"{bench:10s} {max(table.values()):9.3f} "
-            f"{min(table.values()):13.3f}"
-        )
+    print(result.summary())
+    if name == "isolation" and not args.baseline:
+        return 0 if result.correct_rate == 1.0 else 1
     return 0
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    from repro.inject import InjectionSpec, run_injection
+    from repro.inject import InjectionSpec
     from repro.inject.campaign import DIMENSIONS
     from repro.inject.sites import mapped_out_blocks
     from repro.yieldmodel.configs import CoreCounts
@@ -342,14 +322,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         snapshot_budget=args.snapshot_budget,
         golden_cache=args.golden_cache,
     )
-    stats = run_injection(
-        spec,
-        workers=args.workers,
-        resume=args.resume,
-        checkpoint=not args.no_checkpoint,
-        cache_root=args.cache_dir,
-        progress=_progress_printer("inject"),
-    )
+    stats = _run("inject", spec, args)
     print(
         f"config: {args.config}  model: {args.model}  "
         f"blocks: {args.blocks}"
@@ -391,17 +364,7 @@ def _decide_spec(args: argparse.Namespace):
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    from repro.decide import run_decide
-
-    spec = _decide_spec(args)
-    result = run_decide(
-        spec,
-        workers=args.workers,
-        resume=args.resume,
-        checkpoint=not args.no_checkpoint,
-        cache_root=args.cache_dir,
-        progress=_progress_printer("decide"),
-    )
+    result = _run("decide", _decide_spec(args), args)
     print(result.summary(top=getattr(args, "top", 10)))
     return 0 if result.front else 1
 
@@ -424,17 +387,10 @@ def _repair_spec(args: argparse.Namespace):
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    from repro.repair import patch_model, run_repair
+    from repro.repair import patch_model
 
     spec = _repair_spec(args)
-    result = run_repair(
-        spec,
-        workers=args.workers,
-        resume=args.resume,
-        checkpoint=not args.no_checkpoint,
-        cache_root=args.cache_dir,
-        progress=_progress_printer("repair"),
-    )
+    result = _run("repair", spec, args)
     print(result.summary())
     prefix = getattr(args, "apply", None)
     if prefix:
@@ -513,7 +469,6 @@ def _parse_params(args: argparse.Namespace) -> dict:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.runner.registry import get_campaign
     from repro.service import QueueFullError, ServiceClient
 
     client = ServiceClient(_service_url(args))
@@ -555,7 +510,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_result(args: argparse.Namespace) -> int:
-    from repro.runner.registry import get_campaign
     from repro.service import ServiceClient, ServiceError
 
     client = ServiceClient(_service_url(args))

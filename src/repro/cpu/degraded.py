@@ -139,13 +139,6 @@ class IpcCache:
             pass
 
 
-def single_degradation_counts() -> Tuple[CoreCounts, ...]:
-    """The six one-dimension-degraded configurations, in DIMENSIONS order."""
-    from repro.yieldmodel.configs import DIMENSIONS
-
-    return tuple(CoreCounts(**{dim: 1}) for dim in DIMENSIONS)
-
-
 def compose_ipc_table(
     full_ipc: float, ratios: Dict[str, float]
 ) -> Dict[Tuple[int, ...], float]:

@@ -15,27 +15,34 @@ million-chip fleet map out first, and at what cost?* — by sweeping all
    area saved, and runs non-dominated sorting with crowding-distance
    knee selection into a stable total ranking.
 
-Both measurement phases ride one shard list through
-:func:`~repro.runner.executor.run_shards` with one spec-hash
+Both measurement phases ride one shard list through the generic
+:func:`~repro.runner.protocol.run_campaign` with one spec-hash
 checkpoint store, so the campaign registers in the runner registry like
 any other and the HTTP service serves decision jobs with **zero new
-server code**.  Shard payloads merge in shard-index order and the fold
-is pure arithmetic on the merged data, so the Pareto front and total
-ranking are bit-identical for any worker count, chunking, or resume
-history (gated by ``benchmarks/bench_decide.py --check``).
+server code**.  The injection shards run the ``inject`` campaign's own
+``work`` on its cached context for :func:`injection_spec`.  Shard
+payloads merge in shard-index order and the fold is pure arithmetic on
+the merged data, so the Pareto front and total ranking are
+bit-identical for any worker count, chunking, or resume history (gated
+by ``benchmarks/bench_decide.py --check``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.decide.objectives import ConfigScore, evaluate_objectives
 from repro.decide.pareto import ParetoRanking, rank
-from repro.inject.campaign import InjectionSpec, InjectionStats
-from repro.runner.executor import ProgressFn, run_shards
+from repro.inject.campaign import INJECT, InjectionSpec, InjectionStats
+from repro.runner.campaigns import (
+    IpcSweepResult,
+    IpcSweepSpec,
+    ipc_sweep_items,
+    simulate_points,
+)
+from repro.runner.protocol import Campaign, context
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore, config_hash
 from repro.telemetry import TELEMETRY
 from repro.yieldmodel.configs import CoreCounts, DIMENSIONS
 
@@ -83,6 +90,12 @@ class DecideSpec:
     # IPC items per shard.
     chunk_size: int = 1
 
+    def __post_init__(self) -> None:
+        if self.n_faults <= 0:
+            raise ValueError("n_faults must be positive")
+        if not self.benchmarks:
+            raise ValueError("at least one benchmark required")
+
 
 def injection_spec(spec: DecideSpec) -> InjectionSpec:
     """The full-core, summary-only injection campaign decide embeds."""
@@ -102,18 +115,6 @@ def injection_spec(spec: DecideSpec) -> InjectionSpec:
     )
 
 
-def ipc_items(spec: DecideSpec) -> List[Tuple[str, Key]]:
-    """The IPC phase's work list, in deterministic campaign order."""
-    configs = [CoreCounts()] + [
-        CoreCounts(**{dim: 1}) for dim in DIMENSIONS
-    ]
-    return [
-        (bench, cfg.key())
-        for bench in spec.benchmarks
-        for cfg in configs
-    ]
-
-
 def decide_items(spec: DecideSpec) -> List[Tuple]:
     """The campaign's shard list: injection spans, then IPC chunks.
 
@@ -125,54 +126,11 @@ def decide_items(spec: DecideSpec) -> List[Tuple]:
         ("inject", start, stop)
         for start, stop in shard_ranges(spec.n_faults, spec.inject_chunk)
     ]
-    points = ipc_items(spec)
+    # The IPC phase: full + six single-degradation configs per benchmark.
+    points = ipc_sweep_items(IpcSweepSpec(benchmarks=spec.benchmarks))
     for start, stop in shard_ranges(len(points), spec.chunk_size):
         items.append(("ipc", tuple(points[start:stop])))
     return items
-
-
-# Worker-global state: {"spec": DecideSpec}.  The injection phase's
-# heavy state (trace, golden run, fault sample) lives in the inject
-# campaign's own worker global, built lazily on the first inject shard
-# and shared copy-free by forked workers when the parent prepared it.
-_DECIDE: Dict[str, Any] = {}
-
-
-def _decide_init(spec: DecideSpec) -> None:
-    _DECIDE["spec"] = spec
-
-
-def _decide_worker(item: Tuple) -> Dict[str, Any]:
-    spec: DecideSpec = _DECIDE["spec"]
-    t = TELEMETRY
-    if item[0] == "inject":
-        from repro.inject.campaign import _inject_init, _inject_worker
-
-        with t.span("decide.inject_shard"):
-            _inject_init(injection_spec(spec))
-            payload = _inject_worker((item[1], item[2]))
-        if t.enabled:
-            t.count("decide.inject_faults", item[2] - item[1])
-        return {"kind": "inject", "stats": payload}
-    from repro.cpu.degraded import degraded_params, simulate_config
-    from repro.cpu.params import MachineConfig
-
-    out = []
-    for bench, key in item[1]:
-        counts = CoreCounts(**dict(zip(DIMENSIONS, key)))
-        config = degraded_params(MachineConfig(rescue=True), counts)
-        with t.span("decide.ipc_point"):
-            ipc = simulate_config(
-                bench,
-                config,
-                n_instructions=spec.n_instructions,
-                seed=spec.ipc_seed,
-                warmup=spec.warmup,
-            )
-        if t.enabled:
-            t.count("decide.ipc_points")
-        out.append({"benchmark": bench, "key": list(key), "ipc": ipc})
-    return {"kind": "ipc", "measurements": out}
 
 
 @dataclass
@@ -330,74 +288,61 @@ def merge_payloads(
 ) -> Tuple[InjectionStats, Dict[Tuple[str, Key], float]]:
     """Merge shard payloads in shard-index order (worker-invariant)."""
     stats = InjectionStats()
-    measured: Dict[Tuple[str, Key], float] = {}
+    sweep = IpcSweepResult()
     for payload in payloads:
         if payload["kind"] == "inject":
-            stats = stats.merge(
-                InjectionStats.from_json(payload["stats"])
+            stats = stats.merge(InjectionStats.from_json(payload["stats"]))
+        else:
+            sweep = sweep.merge(
+                IpcSweepResult.from_json(payload["measurements"])
             )
-            continue
-        for rec in payload["measurements"]:
-            item = (rec["benchmark"], tuple(rec["key"]))
-            if item in measured and measured[item] != rec["ipc"]:
-                raise ValueError(
-                    f"conflicting IPC for {item}: "
-                    f"{measured[item]} vs {rec['ipc']}"
-                )
-            measured[item] = rec["ipc"]
-    return stats, measured
+    return stats, sweep.measured
 
 
-def run_decide(
-    spec: DecideSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> DecideResult:
-    """Run the sharded decision campaign; returns the ranked result.
-
-    Bit-identical for any ``workers``/chunking/resume history: each
+class DecideCampaign(Campaign):
+    """Bit-identical for any ``workers``/chunking/resume history: each
     shard is an independent deterministic computation, payloads merge
     in shard-index order, and the fold is pure arithmetic on the merged
-    data.  An explicit ``store`` overrides the default checkpoint store
-    (the campaign service's seam).
-    """
-    if spec.n_faults <= 0:
-        raise ValueError("n_faults must be positive")
-    if not spec.benchmarks:
-        raise ValueError("at least one benchmark required")
-    items = decide_items(spec)
-    if store is None and checkpoint:
-        store = CheckpointStore(
-            "decide", config_hash(asdict(spec)), root=cache_root
-        )
-    with TELEMETRY.span("decide.campaign"):
-        payloads = run_shards(
-            items,
-            _decide_worker,
-            workers=workers,
-            initializer=_decide_init,
-            initargs=(spec,),
-            store=store,
-            resume=resume,
-            progress=progress,
-        )
+    data."""
+
+    name = "decide"
+    spec_cls = DecideSpec
+    result_cls = DecideResult
+
+    def items(self, spec: DecideSpec) -> List[Tuple]:
+        return decide_items(spec)
+
+    def work(self, spec: DecideSpec, item: Tuple) -> Dict[str, Any]:
+        t = TELEMETRY
+        if item[0] == "inject":
+            # The heavy state is the inject campaign's cached context.
+            with t.span("decide.inject_shard"):
+                ictx = context(INJECT, injection_spec(spec))
+                payload = INJECT.work(ictx, (item[1], item[2]))
+            if t.enabled:
+                t.count("decide.inject_faults", item[2] - item[1])
+            return {"kind": "inject", "stats": payload}
+        with t.span("decide.ipc_points"):
+            out = simulate_points(
+                item[1], spec.n_instructions, spec.ipc_seed, spec.warmup
+            )
+        if t.enabled:
+            t.count("decide.ipc_points", len(out))
+        return {"kind": "ipc", "measurements": out}
+
+    def merge(self, spec, ctx, payloads) -> DecideResult:
         stats, measured = merge_payloads(payloads)
         return evaluate(spec, measured, stats)
+
+
+DECIDE = DecideCampaign()
+run_decide = DECIDE.run
 
 
 def prepare_decide(spec: DecideSpec) -> None:
     """Pre-build the injection phase's golden state in this process.
 
-    Optional warm-up mirroring :func:`~repro.inject.campaign.
-    prepare_injection`: forked workers then inherit the golden run
+    Optional warm-up: forked workers then inherit the golden run
     instead of re-simulating it once per process.
     """
-    from repro.inject.campaign import prepare_injection
-
-    _decide_init(spec)
-    prepare_injection(injection_spec(spec))
+    context(INJECT, injection_spec(spec))

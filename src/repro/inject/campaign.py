@@ -1,8 +1,8 @@
 """Sharded fault-injection campaigns with worker-invariant statistics.
 
-Follows the runner's campaign recipe: a frozen :class:`InjectionSpec`
-captures every parameter that affects the result and is hashed into the
-checkpoint key; a worker-global initializer builds the heavy shared
+:data:`INJECT` is the runner's ``inject`` campaign: a frozen
+:class:`InjectionSpec` captures every parameter that affects the result
+and is hashed into the checkpoint key; ``setup`` builds the heavy shared
 state (trace, golden run, fault sample) once per process; shards are
 contiguous fault-index spans whose JSON payloads merge in shard order
 into an :class:`InjectionStats` that is bit-identical for any worker
@@ -17,12 +17,12 @@ sample produces a nonzero SDC rate).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runner.executor import ProgressFn, run_shards
+from repro.runner.executor import ProgressFn
+from repro.runner.protocol import Campaign, context
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore, config_hash
 from repro.telemetry import TELEMETRY
 
 OUTCOMES = ("masked", "sdc", "detected", "hang")
@@ -241,12 +241,6 @@ class InjectionStats:
         return "\n".join(lines)
 
 
-# Worker-global campaign state: {"spec", "golden", "faults"}.  Built once
-# per worker by _inject_init; forked workers inherit it copy-free when
-# the parent called prepare_injection() first.
-_INJECT: Dict[str, Any] = {}
-
-
 def _build_config(spec: InjectionSpec):
     from repro.cpu.degraded import degraded_params
     from repro.cpu.params import MachineConfig
@@ -256,200 +250,214 @@ def _build_config(spec: InjectionSpec):
     return degraded_params(MachineConfig(rescue=True), counts), counts
 
 
-def _inject_init(spec: InjectionSpec) -> None:
-    if _INJECT.get("spec") == spec and "golden" in _INJECT:
-        return
-    from repro.inject.goldencache import (
-        golden_key, load_golden, load_scan, scan_key, store_golden,
-        store_scan,
-    )
-    from repro.inject.harness import run_golden
-    from repro.inject.models import sample_faults
-    from repro.inject.sites import enumerate_sites, sites_in_blocks
-    from repro.workloads.generator import generate_trace
-    from repro.workloads.profiles import profile
+class InjectionCampaign(Campaign):
+    """Bit-identical for any ``workers``/``chunk_size``/resume history:
+    faults are sampled from per-index seed streams, each injection is an
+    independent deterministic simulation, and shard payloads merge in
+    shard-index order."""
 
-    config, _ = _build_config(spec)
-    trace = generate_trace(
-        profile(spec.benchmark), spec.n_instructions, seed=spec.trace_seed
-    )
-    interval = spec.checkpoint_interval if spec.fork else 0
-    stride = spec.profile_stride if spec.sampling == "weighted" else 0
-    golden = None
-    key = None
-    if spec.golden_cache:
-        key = golden_key(
-            spec.benchmark, spec.n_instructions, spec.trace_seed,
-            spec.counts, interval, stride, spec.snapshot_budget,
-        )
-        golden = load_golden(config, trace, spec.n_instructions, key)
-        if golden is not None:
-            TELEMETRY.count("inject.golden_cache_hits")
-    if golden is None:
-        golden = run_golden(
-            config,
-            trace,
-            spec.n_instructions,
-            checkpoint_interval=interval,
-            profile_stride=stride,
-            snapshot_budget=spec.snapshot_budget,
-        )
-        if spec.golden_cache:
-            store_golden(golden, key)
-    sites = enumerate_sites(config)
-    if spec.blocks is not None:
-        sites = sites_in_blocks(sites, spec.blocks)
-    faults = sample_faults(
-        sites, spec.n_faults, spec.seed, spec.model, config,
-        golden.cycles, mode=spec.sampling, profile=golden.profile,
-    )
-    first_effect: Dict[int, object] = {}
-    if spec.fork and spec.first_effect:
-        from repro.inject.harness import first_effect_scan
+    name = "inject"
+    spec_cls = InjectionSpec
+    result_cls = InjectionStats
 
-        skey = None
-        cached = None
+    def setup(self, spec: InjectionSpec) -> Dict[str, Any]:
+        """Trace, golden run, fault sample and first-effect scan."""
+        from repro.inject.goldencache import (
+            golden_key, load_golden, load_scan, scan_key, store_golden,
+            store_scan,
+        )
+        from repro.inject.harness import run_golden
+        from repro.inject.models import sample_faults
+        from repro.inject.sites import enumerate_sites, sites_in_blocks
+        from repro.workloads.generator import generate_trace
+        from repro.workloads.profiles import profile
+
+        config, _ = _build_config(spec)
+        trace = generate_trace(
+            profile(spec.benchmark), spec.n_instructions, seed=spec.trace_seed
+        )
+        interval = spec.checkpoint_interval if spec.fork else 0
+        stride = spec.profile_stride if spec.sampling == "weighted" else 0
+        golden = None
+        key = None
         if spec.golden_cache:
-            skey = scan_key(
-                key, len(faults), spec.seed, spec.model, spec.blocks,
-                spec.sampling,
+            key = golden_key(
+                spec.benchmark, spec.n_instructions, spec.trace_seed,
+                spec.counts, interval, stride, spec.snapshot_budget,
             )
-            cached = load_scan(skey, len(faults))
-        if cached is not None:
-            first_effect = cached
-            TELEMETRY.count("inject.scan_cache_hits")
-        else:
-            first_effect = first_effect_scan(golden, faults)
-            if skey is not None:
-                store_scan(first_effect, skey, len(faults))
-    _INJECT.clear()
-    _INJECT.update(
-        spec=spec, golden=golden, faults=faults,
-        first_effect=first_effect,
-    )
-
-
-def _inject_worker(span: Tuple[int, int]) -> Dict:
-    """Classify one contiguous fault span; returns shard JSON.
-
-    With ``spec.fork``, each fault's fork point comes from a shared
-    plan: transients fork at the newest checkpoint at or before their
-    activation cycle, sticky faults at the checkpoint licensed by the
-    first-effect scan — or are synthesized outright
-    (:func:`~repro.inject.harness.synth_never_result`) when the scan
-    proved their forcing never bites.  With ``spec.grouped`` the
-    shard's remaining faults are grouped by fork checkpoint — a stable
-    sort, so original order is preserved within each group — and every
-    multi-fault group runs on one warm
-    :class:`~repro.inject.harness.ReplaySession` core, re-armed in
-    place between faults (singleton groups take a plain restore and
-    skip the dirty-tracking overhead).  Results are then folded into
-    the stats in the original fault order, so shard payloads (records,
-    exemplars, per-block counts) are bit-identical to the ungrouped
-    path for any worker count or chunking.  The grouping telemetry
-    (``inject.restore_reuses`` / ``inject.group_sizes``) is a
-    scheduling metric: it depends on how faults land in shards and is
-    *not* part of the worker-count-invariant deterministic view.
-    """
-    from repro.inject.harness import (
-        ReplaySession, run_with_fault, synth_never_result,
-    )
-
-    start, stop = span
-    spec = _INJECT["spec"]
-    golden = _INJECT["golden"]
-    faults = _INJECT["faults"][start:stop]
-    scan = _INJECT.get("first_effect") or {}
-    stats = InjectionStats(
-        keep_records=spec.keep_records, exemplar_cap=spec.exemplar_cap
-    )
-    t = TELEMETRY
-    results: List = [None] * len(faults)
-    # Per-fault fork plan (identical for the grouped and ungrouped
-    # paths, so their per-fault telemetry merges to the same values):
-    # fork_idx = arena index (None: from cycle 0), prearm = sticky
-    # arming bookkeeping to restore on the forked core, or a
-    # synthesized masked verdict for never-biting sticky faults.
-    fork_idx: List[Optional[int]] = [None] * len(faults)
-    prearm: List[Optional[tuple]] = [None] * len(faults)
-    synth = [False] * len(faults)
-    if spec.fork:
-        for i, fault in enumerate(faults):
-            fe = scan.get(start + i)
-            if fe is None:
-                fork_idx[i] = golden.fork_index(fault.cycle)
-            elif fe.first is None:
-                synth[i] = True
-                results[i] = synth_never_result(golden, fe)
-                if t.enabled:
-                    t.count("inject.scan_skips")
-                    t.count("inject.cycles_saved", golden.cycles)
-            else:
-                k = golden.fork_index(fe.first)
-                fork_idx[i] = k
-                if k is not None:
-                    prearm[i] = fe.prearm(golden.arena.cycle_of(k))
-    grouped = (
-        spec.grouped
-        and spec.fork
-        and golden.arena is not None
-        and len(golden.arena) > 0
-    )
-    if grouped:
-        todo = [i for i in range(len(faults)) if not synth[i]]
-        order = sorted(
-            todo,
-            key=lambda i: -1 if fork_idx[i] is None else fork_idx[i],
+            golden = load_golden(config, trace, spec.n_instructions, key)
+            if golden is not None:
+                TELEMETRY.count("inject.golden_cache_hits")
+        if golden is None:
+            golden = run_golden(
+                config,
+                trace,
+                spec.n_instructions,
+                checkpoint_interval=interval,
+                profile_stride=stride,
+                snapshot_budget=spec.snapshot_budget,
+            )
+            if spec.golden_cache:
+                store_golden(golden, key)
+        sites = enumerate_sites(config)
+        if spec.blocks is not None:
+            sites = sites_in_blocks(sites, spec.blocks)
+        faults = sample_faults(
+            sites, spec.n_faults, spec.seed, spec.model, config,
+            golden.cycles, mode=spec.sampling, profile=golden.profile,
         )
-        group_n = {
-            k: sum(1 for i in todo if fork_idx[i] == k)
-            for k in set(fork_idx[i] for i in todo)
-        }
-        if t.enabled:
-            for k, n in sorted(
-                group_n.items(), key=lambda kv: (kv[0] is None, kv[0])
-            ):
-                if k is not None:
-                    t.observe("inject.group_sizes", n)
-        session: Optional[ReplaySession] = None
-        for i in order:
-            fault = faults[i]
-            k = fork_idx[i]
-            with t.span("inject.run"):
-                if k is None or group_n[k] == 1:
-                    # No checkpoint (plain from-cycle-0 run) or a
-                    # singleton group: a one-shot restore without
-                    # dirty-tracking overhead beats a session.
-                    results[i] = run_with_fault(
-                        golden, fault, fork=True,
-                        fork_index=k, prearm=prearm[i],
-                    )
+        first_effect: Dict[int, object] = {}
+        if spec.fork and spec.first_effect:
+            from repro.inject.harness import first_effect_scan
+
+            skey = None
+            cached = None
+            if spec.golden_cache:
+                skey = scan_key(
+                    key, len(faults), spec.seed, spec.model, spec.blocks,
+                    spec.sampling,
+                )
+                cached = load_scan(skey, len(faults))
+            if cached is not None:
+                first_effect = cached
+                TELEMETRY.count("inject.scan_cache_hits")
+            else:
+                first_effect = first_effect_scan(golden, faults)
+                if skey is not None:
+                    store_scan(first_effect, skey, len(faults))
+        return dict(
+            spec=spec, golden=golden, faults=faults,
+            first_effect=first_effect,
+        )
+
+    def items(self, spec: InjectionSpec) -> List[Tuple[int, int]]:
+        return shard_ranges(spec.n_faults, spec.chunk_size)
+
+    def work(self, ctx: Dict[str, Any], span: Tuple[int, int]) -> Dict:
+        """Classify one contiguous fault span; returns shard JSON.
+
+        With ``spec.fork``, each fault's fork point comes from a shared
+        plan: transients fork at the newest checkpoint at or before their
+        activation cycle, sticky faults at the checkpoint licensed by the
+        first-effect scan — or are synthesized outright
+        (:func:`~repro.inject.harness.synth_never_result`) when the scan
+        proved their forcing never bites.  With ``spec.grouped`` the
+        shard's remaining faults are grouped by fork checkpoint — a stable
+        sort, so original order is preserved within each group — and every
+        multi-fault group runs on one warm
+        :class:`~repro.inject.harness.ReplaySession` core, re-armed in
+        place between faults (singleton groups take a plain restore and
+        skip the dirty-tracking overhead).  Results are then folded into
+        the stats in the original fault order, so shard payloads (records,
+        exemplars, per-block counts) are bit-identical to the ungrouped
+        path for any worker count or chunking.  The grouping telemetry
+        (``inject.restore_reuses`` / ``inject.group_sizes``) is a
+        scheduling metric: it depends on how faults land in shards and is
+        *not* part of the worker-count-invariant deterministic view.
+        """
+        from repro.inject.harness import (
+            ReplaySession, run_with_fault, synth_never_result,
+        )
+
+        start, stop = span
+        spec = ctx["spec"]
+        golden = ctx["golden"]
+        faults = ctx["faults"][start:stop]
+        scan = ctx["first_effect"]
+        stats = InjectionStats(
+            keep_records=spec.keep_records, exemplar_cap=spec.exemplar_cap
+        )
+        t = TELEMETRY
+        results: List = [None] * len(faults)
+        # Per-fault fork plan (identical for the grouped and ungrouped
+        # paths, so their per-fault telemetry merges to the same values):
+        # fork_idx = arena index (None: from cycle 0), prearm = sticky
+        # arming bookkeeping to restore on the forked core, or a
+        # synthesized masked verdict for never-biting sticky faults.
+        fork_idx: List[Optional[int]] = [None] * len(faults)
+        prearm: List[Optional[tuple]] = [None] * len(faults)
+        synth = [False] * len(faults)
+        if spec.fork:
+            for i, fault in enumerate(faults):
+                fe = scan.get(start + i)
+                if fe is None:
+                    fork_idx[i] = golden.fork_index(fault.cycle)
+                elif fe.first is None:
+                    synth[i] = True
+                    results[i] = synth_never_result(golden, fe)
+                    if t.enabled:
+                        t.count("inject.scan_skips")
+                        t.count("inject.cycles_saved", golden.cycles)
                 else:
-                    if session is None or session.index != k:
-                        session = ReplaySession(golden, k)
-                    results[i] = session.run(fault, prearm=prearm[i])
-    else:
-        for i, fault in enumerate(faults):
-            if synth[i]:
-                continue
-            with t.span("inject.run"):
-                results[i] = run_with_fault(
-                    golden, fault, fork=spec.fork,
-                    fork_index=fork_idx[i], prearm=prearm[i],
-                )
-    for fault, result in zip(faults, results):
-        stats.add(fault, result)
-        if t.enabled:
-            t.count("inject.runs")
-            t.count(f"inject.outcome.{result.outcome}")
-            t.count("inject.faulty_cycles", result.cycles)
-            if result.detect_latency is not None:
-                t.observe("inject.detect_latency", result.detect_latency)
-            if result.commit_distance is not None:
-                t.observe(
-                    "inject.commit_distance", result.commit_distance
-                )
-    return stats.to_json()
+                    k = golden.fork_index(fe.first)
+                    fork_idx[i] = k
+                    if k is not None:
+                        prearm[i] = fe.prearm(golden.arena.cycle_of(k))
+        grouped = (
+            spec.grouped
+            and spec.fork
+            and golden.arena is not None
+            and len(golden.arena) > 0
+        )
+        if grouped:
+            todo = [i for i in range(len(faults)) if not synth[i]]
+            order = sorted(
+                todo,
+                key=lambda i: -1 if fork_idx[i] is None else fork_idx[i],
+            )
+            group_n = {
+                k: sum(1 for i in todo if fork_idx[i] == k)
+                for k in set(fork_idx[i] for i in todo)
+            }
+            if t.enabled:
+                for k, n in sorted(
+                    group_n.items(), key=lambda kv: (kv[0] is None, kv[0])
+                ):
+                    if k is not None:
+                        t.observe("inject.group_sizes", n)
+            session: Optional[ReplaySession] = None
+            for i in order:
+                fault = faults[i]
+                k = fork_idx[i]
+                with t.span("inject.run"):
+                    if k is None or group_n[k] == 1:
+                        # No checkpoint (plain from-cycle-0 run) or a
+                        # singleton group: a one-shot restore without
+                        # dirty-tracking overhead beats a session.
+                        results[i] = run_with_fault(
+                            golden, fault, fork=True,
+                            fork_index=k, prearm=prearm[i],
+                        )
+                    else:
+                        if session is None or session.index != k:
+                            session = ReplaySession(golden, k)
+                        results[i] = session.run(fault, prearm=prearm[i])
+        else:
+            for i, fault in enumerate(faults):
+                if synth[i]:
+                    continue
+                with t.span("inject.run"):
+                    results[i] = run_with_fault(
+                        golden, fault, fork=spec.fork,
+                        fork_index=fork_idx[i], prearm=prearm[i],
+                    )
+        for fault, result in zip(faults, results):
+            stats.add(fault, result)
+            if t.enabled:
+                t.count("inject.runs")
+                t.count(f"inject.outcome.{result.outcome}")
+                t.count("inject.faulty_cycles", result.cycles)
+                if result.detect_latency is not None:
+                    t.observe("inject.detect_latency", result.detect_latency)
+                if result.commit_distance is not None:
+                    t.observe(
+                        "inject.commit_distance", result.commit_distance
+                    )
+        return stats.to_json()
+
+
+INJECT = InjectionCampaign()
+run_injection = INJECT.run
 
 
 def prepare_injection(spec: InjectionSpec):
@@ -458,56 +466,8 @@ def prepare_injection(spec: InjectionSpec):
     Call before :func:`run_injection` so forked workers inherit the
     golden run instead of re-simulating it per process.
     """
-    _inject_init(spec)
-    return _INJECT["golden"], _INJECT["faults"]
-
-
-def run_injection(
-    spec: InjectionSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> InjectionStats:
-    """Run the sharded injection campaign; returns merged stats.
-
-    Bit-identical for any ``workers``/``chunk_size``/resume history:
-    faults are sampled from per-index seed streams, each injection is an
-    independent deterministic simulation, and shard payloads merge in
-    shard-index order.  An explicit ``store`` overrides the default
-    checkpoint store (the campaign service's injection seam).
-    """
-    prepare_injection(spec)
-    spans = shard_ranges(len(_INJECT["faults"]), spec.chunk_size)
-    if store is None:
-        store = _campaign_store(spec, checkpoint, cache_root)
-    payloads = run_shards(
-        spans,
-        _inject_worker,
-        workers=workers,
-        initializer=_inject_init,
-        initargs=(spec,),
-        store=store,
-        resume=resume,
-        progress=progress,
-    )
-    merged = InjectionStats()
-    for payload in payloads:
-        merged = merged.merge(InjectionStats.from_json(payload))
-    return merged
-
-
-def _campaign_store(
-    spec: InjectionSpec, checkpoint: bool, cache_root: Optional[str]
-) -> Optional[CheckpointStore]:
-    if not checkpoint:
-        return None
-    return CheckpointStore(
-        "inject", config_hash(asdict(spec)), root=cache_root
-    )
+    ctx = context(INJECT, spec)
+    return ctx["golden"], ctx["faults"]
 
 
 def masking_validation(

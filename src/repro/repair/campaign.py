@@ -5,8 +5,8 @@ The sixth registered campaign closes the lint→patch loop.  One run:
 1. builds the target model — the baseline RTL (genuine ICI violations)
    or a hand-broken Rescue variant (:mod:`repro.repair.seedbreak`) —
    and lints it with :func:`~repro.core.netcheck.check_netlist_ici`;
-2. shards the violation list through
-   :func:`~repro.runner.executor.run_shards`: each shard searches the
+2. shards the violation list through the generic
+   :func:`~repro.runner.protocol.run_campaign`: each shard searches the
    candidate space (:mod:`repro.repair.candidates`) for its violations
    and verifies every candidate with the three-stage check oracle
    (:mod:`repro.repair.oracle`);
@@ -39,9 +39,8 @@ from repro.repair.candidates import (
 )
 from repro.repair.oracle import BaseState, _equivalence_stage, verify_candidate
 from repro.repair.seedbreak import SeededBreak, seed_breaks
-from repro.runner.executor import ProgressFn, run_shards
+from repro.runner.protocol import Campaign, context
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore, config_hash
 from repro.telemetry import TELEMETRY
 
 #: Model variants the campaign can repair.
@@ -67,16 +66,20 @@ class RepairSpec:
     # Violations per shard.
     chunk_size: int = 2
 
+    def __post_init__(self) -> None:
+        if self.model not in REPAIR_MODELS:
+            raise ValueError(
+                f"unknown repair model {self.model!r}; "
+                f"expected one of {REPAIR_MODELS}"
+            )
+        if self.n_patterns <= 0:
+            raise ValueError("n_patterns must be positive")
+
 
 def build_model(spec: RepairSpec) -> Tuple[Netlist, List[SeededBreak]]:
     """The campaign's target netlist plus any seeded breaks."""
     from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
 
-    if spec.model not in REPAIR_MODELS:
-        raise ValueError(
-            f"unknown repair model {spec.model!r}; "
-            f"expected one of {REPAIR_MODELS}"
-        )
     params = RtlParams.tiny() if spec.tiny else RtlParams()
     if spec.model == "baseline":
         return build_baseline_rtl(params).netlist, []
@@ -87,34 +90,6 @@ def build_model(spec: RepairSpec) -> Tuple[Netlist, List[SeededBreak]]:
             netlist, spec.n_breaks, spec.break_seed, exempt=spec.exempt
         )
     return netlist, breaks
-
-
-def repair_items(spec: RepairSpec) -> List[Tuple[int, int]]:
-    """The shard list: contiguous index spans over the violation list."""
-    netlist, _breaks = build_model(spec)
-    report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
-    return shard_ranges(len(report.violations), spec.chunk_size)
-
-
-# Worker-global campaign state: {"spec", "base", "breaks"}.  Built once
-# per worker by _repair_init; forked workers inherit it copy-free when
-# the parent called prepare_repair() first.
-_REPAIR: Dict[str, Any] = {}
-
-
-def _repair_init(spec: RepairSpec) -> None:
-    if _REPAIR.get("spec") == spec and "base" in _REPAIR:
-        return
-    netlist, breaks = build_model(spec)
-    report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
-    base = BaseState.build(netlist, report, spec.n_patterns, spec.seed)
-    _REPAIR.clear()
-    _REPAIR.update(spec=spec, base=base, breaks=breaks)
-
-
-def prepare_repair(spec: RepairSpec) -> None:
-    """Pre-build the model and base simulation in this process."""
-    _repair_init(spec)
 
 
 def _search_violation(spec: RepairSpec, base: BaseState, v) -> Dict[str, Any]:
@@ -167,19 +142,6 @@ def _search_violation(spec: RepairSpec, base: BaseState, v) -> Dict[str, Any]:
                 }
             )
     return entry
-
-
-def _repair_worker(span: Tuple[int, int]) -> Dict[str, Any]:
-    """Search one contiguous violation span; returns shard JSON."""
-    start, stop = span
-    spec: RepairSpec = _REPAIR["spec"]
-    base: BaseState = _REPAIR["base"]
-    return {
-        "violations": [
-            _search_violation(spec, base, v)
-            for v in base.report.violations[start:stop]
-        ]
-    }
 
 
 @dataclass
@@ -345,68 +307,67 @@ class RepairResult:
         return "\n".join(lines)
 
 
-def run_repair(
-    spec: RepairSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> RepairResult:
-    """Run the sharded repair campaign; returns the verified plan.
-
-    Bit-identical for any ``workers``/chunking/resume history: shards
+class RepairCampaign(Campaign):
+    """Bit-identical for any ``workers``/chunking/resume history: shards
     are independent deterministic searches over index spans of the
     (deterministic) violation list, payloads merge in shard-index
     order, and plan selection plus final verification are pure
-    functions of the merged data.  An explicit ``store`` overrides the
-    default checkpoint store (the campaign service's seam).
-    """
-    if spec.n_patterns <= 0:
-        raise ValueError("n_patterns must be positive")
-    if spec.model not in REPAIR_MODELS:
-        raise ValueError(
-            f"unknown repair model {spec.model!r}; "
-            f"expected one of {REPAIR_MODELS}"
-        )
-    netlist, breaks = build_model(spec)
-    report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
-    items = shard_ranges(len(report.violations), spec.chunk_size)
-    if store is None and checkpoint:
-        store = CheckpointStore(
-            "repair", config_hash(asdict(spec)), root=cache_root
-        )
-    with TELEMETRY.span("repair.campaign"):
-        payloads = run_shards(
-            items,
-            _repair_worker,
-            workers=workers,
-            initializer=_repair_init,
-            initargs=(spec,),
-            store=store,
-            resume=resume,
-            progress=progress,
-        )
+    functions of the merged data."""
+
+    name = "repair"
+    spec_cls = RepairSpec
+    result_cls = RepairResult
+
+    def setup(self, spec: RepairSpec) -> Dict[str, Any]:
+        """The linted model's base simulation plus any seeded breaks."""
+        netlist, breaks = build_model(spec)
+        report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
+        base = BaseState.build(netlist, report, spec.n_patterns, spec.seed)
+        return dict(spec=spec, base=base, breaks=breaks)
+
+    def items(self, spec: RepairSpec) -> List[Tuple[int, int]]:
+        """Contiguous index spans over the violation list."""
+        violations = context(self, spec)["base"].report.violations
+        return shard_ranges(len(violations), spec.chunk_size)
+
+    def work(self, ctx: Dict[str, Any], span: Tuple[int, int]) -> Dict:
+        start, stop = span
+        base: BaseState = ctx["base"]
+        return {
+            "violations": [
+                _search_violation(ctx["spec"], base, v)
+                for v in base.report.violations[start:stop]
+            ]
+        }
+
+    def merge(self, spec, ctx, payloads) -> RepairResult:
         entries = [v for p in payloads for v in p["violations"]]
         actions, unrepaired = choose_actions(entries)
         return _compose_and_verify(
-            spec, netlist, report, breaks, entries, actions, unrepaired
+            spec, ctx["base"], ctx["breaks"], entries, actions, unrepaired
         )
+
+
+REPAIR = RepairCampaign()
+run_repair = REPAIR.run
+repair_items = REPAIR.items
+
+
+def prepare_repair(spec: RepairSpec) -> None:
+    """Pre-build the model and base simulation in this process."""
+    context(REPAIR, spec)
 
 
 def _compose_and_verify(
     spec: RepairSpec,
-    netlist: Netlist,
-    report,
+    base: BaseState,
     breaks: List[SeededBreak],
     entries: List[Dict[str, Any]],
     actions: List[RepairAction],
     unrepaired: List[str],
 ) -> RepairResult:
     """Compose the chosen plan and re-verify the patched model whole."""
-    base = BaseState.build(netlist, report, spec.n_patterns, spec.seed)
+    netlist, report = base.netlist, base.report
     patched, _log = patch_model(spec, actions, netlist=netlist)
     preport = check_netlist_ici(patched, exempt_blocks=spec.exempt)
     verdict, _sim, _values = _equivalence_stage(base, patched, spec.seed)

@@ -1,20 +1,11 @@
-"""The three paper campaigns, sharded through the runner.
+"""The three paper campaigns as :class:`~repro.runner.protocol.Campaign`\\ s.
 
-Each campaign follows the same recipe:
-
-1. a frozen *spec* dataclass captures every parameter that affects the
-   result (model, seeds, sizes, chunking) — its ``asdict`` is hashed into
-   the checkpoint key, so a resumed run can only ever continue the
-   identical campaign;
-2. a module-level ``_*_init`` installs heavy shared state in a worker
-   global (once per worker process; skipped when the parent pre-built it
-   and the pool forked), and a module-level ``_*_worker`` computes one
-   shard from its spec alone;
-3. shard payloads are JSON-serializable and merge through explicit,
-   order-insensitive ``merge()`` methods, so the final result is
-   bit-identical for any worker count and chunk size.
-
-Campaigns:
+Each campaign's frozen *spec* dataclass captures every parameter that
+affects the result — its ``asdict`` is hashed into the checkpoint key,
+so a resumed run can only ever continue the identical campaign.  Shard
+payloads are JSON-serializable and merge in shard order through
+explicit ``merge()`` methods, so the final result is bit-identical for
+any worker count and chunk size.
 
 - **isolation** — the Section 6.1 random-fault insertion experiment,
   sharded by contiguous fault chunks of the deterministic sample;
@@ -26,25 +17,25 @@ Campaigns:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runner.executor import ProgressFn, run_shards
+from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
+from repro.rtl.experiment import (
+    IsolationStats,
+    generate_tests,
+    isolation_experiment,
+    sample_isolation_faults,
+)
+from repro.runner.protocol import Campaign, context
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore, config_hash
-
-
-def _campaign_store(
-    campaign: str,
-    spec: Any,
-    checkpoint: bool,
-    cache_root: Optional[str],
-) -> Optional[CheckpointStore]:
-    if not checkpoint:
-        return None
-    return CheckpointStore(
-        campaign, config_hash(asdict(spec)), root=cache_root
-    )
+from repro.yieldmodel.montecarlo import (
+    ChipSpan,
+    MonteCarloResult,
+    campaign_params,
+    sample_chip_span,
+)
+from repro.yieldmodel.pwp import FaultDensityModel
 
 
 # ----------------------------------------------------------------------
@@ -65,48 +56,49 @@ class IsolationSpec:
     chunk_size: int = 50
 
 
-# Worker-global test setup: {"spec": IsolationSpec, "setup": TestSetup,
-# "faults": List[StuckAt]}.  Built once per worker by _isolation_init;
-# under the POSIX fork start method a parent that called
-# prepare_isolation() shares it with every worker copy-free.
-_ISOLATION: Dict[str, Any] = {}
+class IsolationCampaign(Campaign):
+    """Bit-identical to the serial ``isolation_experiment`` for any
+    ``workers``/``chunk_size``: all stats are integer counts over a
+    deterministic fault sample partitioned by contiguous chunks."""
+
+    name = "isolation"
+    spec_cls = IsolationSpec
+    result_cls = IsolationStats
+
+    def setup(self, spec: IsolationSpec):
+        """``(TestSetup, fault sample)``: netlist, ATPG vectors, faults."""
+        params = RtlParams.tiny() if spec.tiny else RtlParams()
+        builder = build_baseline_rtl if spec.baseline else build_rescue_rtl
+        model = builder(params)
+        setup = generate_tests(
+            model,
+            seed=spec.atpg_seed,
+            max_deterministic=spec.max_deterministic,
+            backend=spec.backend,
+        )
+        faults = sample_isolation_faults(
+            model.netlist, spec.n_faults, spec.fault_seed
+        )
+        # Warm the tester's gold-response cache here, not in the first
+        # shard: every process (inline, forked, or spawn-initialized)
+        # then enters its shards with identical cache state, which keeps
+        # per-shard telemetry counters independent of worker count.
+        setup.tester.good_response(setup.atpg.patterns)
+        return setup, faults
+
+    def items(self, spec: IsolationSpec) -> List[Tuple[int, int]]:
+        _setup, faults = context(self, spec)
+        return shard_ranges(len(faults), spec.chunk_size)
+
+    def work(self, ctx, span: Tuple[int, int]) -> Dict:
+        setup, faults = ctx
+        start, stop = span
+        stats = isolation_experiment(setup, faults=faults[start:stop])
+        return stats.to_json()
 
 
-def _isolation_init(spec: IsolationSpec) -> None:
-    if _ISOLATION.get("spec") == spec and "setup" in _ISOLATION:
-        return
-    from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
-    from repro.rtl.experiment import generate_tests, sample_isolation_faults
-
-    params = RtlParams.tiny() if spec.tiny else RtlParams()
-    builder = build_baseline_rtl if spec.baseline else build_rescue_rtl
-    model = builder(params)
-    setup = generate_tests(
-        model,
-        seed=spec.atpg_seed,
-        max_deterministic=spec.max_deterministic,
-        backend=spec.backend,
-    )
-    faults = sample_isolation_faults(
-        model.netlist, spec.n_faults, spec.fault_seed
-    )
-    # Warm the tester's gold-response cache here, not in the first shard:
-    # every process (inline, forked, or spawn-initialized) then enters
-    # its shards with identical cache state, which keeps per-shard
-    # telemetry counters independent of worker count.
-    setup.tester.good_response(setup.atpg.patterns)
-    _ISOLATION.clear()
-    _ISOLATION.update(spec=spec, setup=setup, faults=faults)
-
-
-def _isolation_worker(span: Tuple[int, int]) -> Dict:
-    from repro.rtl.experiment import isolation_experiment
-
-    start, stop = span
-    stats = isolation_experiment(
-        _ISOLATION["setup"], faults=_ISOLATION["faults"][start:stop]
-    )
-    return stats.to_json()
+ISOLATION = IsolationCampaign()
+run_isolation = ISOLATION.run
 
 
 def prepare_isolation(spec: IsolationSpec):
@@ -115,52 +107,9 @@ def prepare_isolation(spec: IsolationSpec):
     Call before :func:`run_isolation` so that (a) the netlist, ATPG
     vectors, and fault sample are built exactly once, and (b) forked
     workers inherit them instead of rebuilding — the compiled netlist is
-    never pickled per fault.  (Under a ``spawn`` start method workers
-    cannot inherit; the initializer rebuilds there.)
+    never pickled per fault.
     """
-    _isolation_init(spec)
-    return _ISOLATION["setup"]
-
-
-def run_isolation(
-    spec: IsolationSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-):
-    """Run the sharded Section 6.1 campaign; returns ``IsolationStats``.
-
-    Bit-identical to the serial ``isolation_experiment`` for any
-    ``workers``/``chunk_size`` (all stats are integer counts over a
-    deterministic fault sample partitioned by contiguous chunks).
-    An explicit ``store`` overrides the default checkpoint store (the
-    campaign service injects instrumented stores through this seam).
-    """
-    from repro.rtl.experiment import IsolationStats
-
-    prepare_isolation(spec)
-    n = len(_ISOLATION["faults"])
-    spans = shard_ranges(n, spec.chunk_size)
-    if store is None:
-        store = _campaign_store("isolation", spec, checkpoint, cache_root)
-    payloads = run_shards(
-        spans,
-        _isolation_worker,
-        workers=workers,
-        initializer=_isolation_init,
-        initargs=(spec,),
-        store=store,
-        resume=resume,
-        progress=progress,
-    )
-    merged = IsolationStats()
-    for payload in payloads:
-        merged = merged.merge(IsolationStats.from_json(payload))
-    return merged
+    return context(ISOLATION, spec)[0]
 
 
 # ----------------------------------------------------------------------
@@ -199,93 +148,64 @@ class MonteCarloSpec:
     chunk_size: int = 250
 
 
-_MONTECARLO: Dict[str, Any] = {}
+class MonteCarloCampaign(Campaign):
+    """Bit-identical to ``simulate_chips`` with the same parameters:
+    chips carry index-derived RNG streams, spans merge by concatenation,
+    and the single final reduction uses exactly-rounded summation."""
+
+    name = "montecarlo"
+    spec_cls = MonteCarloSpec
+    result_cls = MonteCarloResult
+
+    def setup(self, spec: MonteCarloSpec) -> Dict[str, Any]:
+        density = FaultDensityModel(
+            stagnation_node_nm=spec.stagnation_node_nm
+        )
+        k, alpha, theta, groups = campaign_params(
+            density,
+            spec.node_nm,
+            spec.growth,
+            (spec.anchor_node_nm, spec.anchor_cores),
+        )
+        return dict(
+            spec=spec,
+            cores=k,
+            alpha=alpha,
+            theta=theta,
+            groups=groups,
+            ipc=analytic_penalty_table(spec.full_ipc),
+        )
+
+    def items(self, spec: MonteCarloSpec) -> List[Tuple[int, int]]:
+        return shard_ranges(spec.n_chips, spec.chunk_size)
+
+    def work(self, ctx, span: Tuple[int, int]) -> Dict:
+        start, stop = span
+        spec: MonteCarloSpec = ctx["spec"]
+        result = sample_chip_span(
+            start,
+            stop,
+            spec.seed,
+            ctx["cores"],
+            ctx["alpha"],
+            ctx["theta"],
+            ctx["groups"],
+            ctx["ipc"],
+            spec.baseline_ipc,
+        )
+        return result.to_json()
+
+    def merge(self, spec, ctx, payloads) -> MonteCarloResult:
+        if not payloads:
+            return MonteCarloResult(0, 0.0, 0.0, 0.0, 0.0)
+        merged = ChipSpan.from_json(payloads[0])
+        for payload in payloads[1:]:
+            merged = merged.merge(ChipSpan.from_json(payload))
+        return MonteCarloResult.from_span(merged, ctx["cores"])
 
 
-def _montecarlo_init(spec: MonteCarloSpec) -> None:
-    if _MONTECARLO.get("spec") == spec and "cores" in _MONTECARLO:
-        return
-    from repro.yieldmodel.montecarlo import campaign_params
-    from repro.yieldmodel.pwp import FaultDensityModel
-
-    density = FaultDensityModel(
-        stagnation_node_nm=spec.stagnation_node_nm
-    )
-    k, alpha, theta, groups = campaign_params(
-        density,
-        spec.node_nm,
-        spec.growth,
-        (spec.anchor_node_nm, spec.anchor_cores),
-    )
-    _MONTECARLO.clear()
-    _MONTECARLO.update(
-        spec=spec,
-        cores=k,
-        alpha=alpha,
-        theta=theta,
-        groups=groups,
-        ipc=analytic_penalty_table(spec.full_ipc),
-    )
-
-
-def _montecarlo_worker(span: Tuple[int, int]) -> Dict:
-    from repro.yieldmodel.montecarlo import sample_chip_span
-
-    start, stop = span
-    spec: MonteCarloSpec = _MONTECARLO["spec"]
-    result = sample_chip_span(
-        start,
-        stop,
-        spec.seed,
-        _MONTECARLO["cores"],
-        _MONTECARLO["alpha"],
-        _MONTECARLO["theta"],
-        _MONTECARLO["groups"],
-        _MONTECARLO["ipc"],
-        spec.baseline_ipc,
-    )
-    return result.to_json()
-
-
-def run_montecarlo(
-    spec: MonteCarloSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-):
-    """Run the sharded chip-sampling campaign; returns ``MonteCarloResult``.
-
-    Bit-identical to ``simulate_chips`` with the same parameters: chips
-    carry index-derived RNG streams, spans merge by concatenation, and
-    the single final reduction uses exactly-rounded summation.
-    An explicit ``store`` overrides the default checkpoint store.
-    """
-    from repro.yieldmodel.montecarlo import ChipSpan, MonteCarloResult
-
-    _montecarlo_init(spec)
-    spans = shard_ranges(spec.n_chips, spec.chunk_size)
-    if store is None:
-        store = _campaign_store("montecarlo", spec, checkpoint, cache_root)
-    payloads = run_shards(
-        spans,
-        _montecarlo_worker,
-        workers=workers,
-        initializer=_montecarlo_init,
-        initargs=(spec,),
-        store=store,
-        resume=resume,
-        progress=progress,
-    )
-    if not payloads:
-        return MonteCarloResult(0, 0.0, 0.0, 0.0, 0.0)
-    merged = ChipSpan.from_json(payloads[0])
-    for payload in payloads[1:]:
-        merged = merged.merge(ChipSpan.from_json(payload))
-    return MonteCarloResult.from_span(merged, _MONTECARLO["cores"])
+MONTECARLO = MonteCarloCampaign()
+run_montecarlo = MONTECARLO.run
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +228,9 @@ class IpcSweepSpec:
 class IpcSweepResult:
     """Measured IPC per (benchmark, configuration key)."""
 
-    measured: Dict[Tuple[str, Tuple[int, ...]], float]
+    measured: Dict[Tuple[str, Tuple[int, ...]], float] = field(
+        default_factory=dict
+    )
 
     def merge(self, other: "IpcSweepResult") -> "IpcSweepResult":
         """Union of two disjoint measurement sets (exact)."""
@@ -321,6 +243,34 @@ class IpcSweepResult:
                 )
             merged[item] = ipc
         return IpcSweepResult(merged)
+
+    def to_json(self) -> List[Dict[str, Any]]:
+        return [
+            {"benchmark": bench, "key": list(key), "ipc": ipc}
+            for (bench, key), ipc in sorted(self.measured.items())
+        ]
+
+    @classmethod
+    def from_json(cls, payload: List[Dict[str, Any]]) -> "IpcSweepResult":
+        return cls(
+            {
+                (rec["benchmark"], tuple(rec["key"])): rec["ipc"]
+                for rec in payload
+            }
+        )
+
+    def summary(self) -> str:
+        benches = sorted({bench for bench, _ in self.measured})
+        lines = [f"ipc sweep: {len(self.measured)} measurements"]
+        for bench in benches:
+            ipcs = [
+                ipc for (b, _), ipc in self.measured.items() if b == bench
+            ]
+            lines.append(
+                f"  {bench:10s} best {max(ipcs):.3f}  "
+                f"worst {min(ipcs):.3f}"
+            )
+        return "\n".join(lines)
 
     def tables(
         self, compose: bool = True
@@ -383,13 +333,16 @@ def ipc_sweep_items(
     ]
 
 
-def _ipc_worker(chunk: List) -> List[Dict]:
+def simulate_points(
+    points, n_instructions: int, seed: int, warmup: int
+) -> List[Dict[str, Any]]:
+    """IPC of each (benchmark, configuration key) point, as shard JSON."""
     from repro.cpu.degraded import degraded_params, simulate_config
     from repro.cpu.params import MachineConfig
     from repro.yieldmodel.configs import DIMENSIONS, CoreCounts
 
     out = []
-    for bench, key, n_instructions, seed, warmup in chunk:
+    for bench, key in points:
         counts = CoreCounts(**dict(zip(DIMENSIONS, key)))
         config = degraded_params(MachineConfig(rescue=True), counts)
         ipc = simulate_config(
@@ -400,50 +353,27 @@ def _ipc_worker(chunk: List) -> List[Dict]:
     return out
 
 
-def run_ipc_sweep(
-    spec: IpcSweepSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> IpcSweepResult:
-    """Run the sharded degraded-IPC sweep.
+class IpcSweepCampaign(Campaign):
+    """Each item is an independent deterministic simulation (trace
+    seeded, machine config derived from the key), so results are
+    trivially bit-identical across worker counts."""
 
-    Each item is an independent deterministic simulation (trace seeded,
-    machine config derived from the key), so results are trivially
-    bit-identical across worker counts; shards are self-contained (no
-    worker initializer needed).  An explicit ``store`` overrides the
-    default checkpoint store.
-    """
-    items = ipc_sweep_items(spec)
-    chunks: List[List] = [
-        [
-            (bench, key, spec.n_instructions, spec.seed, spec.warmup)
-            for bench, key in items[start:stop]
+    name = "ipc"
+    spec_cls = IpcSweepSpec
+    result_cls = IpcSweepResult
+
+    def items(self, spec: IpcSweepSpec) -> List[List]:
+        points = ipc_sweep_items(spec)
+        return [
+            points[start:stop]
+            for start, stop in shard_ranges(len(points), spec.chunk_size)
         ]
-        for start, stop in shard_ranges(len(items), spec.chunk_size)
-    ]
-    if store is None:
-        store = _campaign_store("ipc", spec, checkpoint, cache_root)
-    payloads = run_shards(
-        chunks,
-        _ipc_worker,
-        workers=workers,
-        store=store,
-        resume=resume,
-        progress=progress,
-    )
-    result = IpcSweepResult({})
-    for payload in payloads:
-        result = result.merge(
-            IpcSweepResult(
-                {
-                    (rec["benchmark"], tuple(rec["key"])): rec["ipc"]
-                    for rec in payload
-                }
-            )
+
+    def work(self, spec: IpcSweepSpec, chunk) -> List[Dict]:
+        return simulate_points(
+            chunk, spec.n_instructions, spec.seed, spec.warmup
         )
-    return result
+
+
+IPC = IpcSweepCampaign()
+run_ipc_sweep = IPC.run

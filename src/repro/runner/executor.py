@@ -8,17 +8,16 @@ shard to a :class:`~repro.runner.store.CheckpointStore`, and returns the
 payloads in shard order.
 
 Determinism contract: the worker must compute shard ``i``'s payload from
-``specs[i]`` (plus worker-global state installed by ``initializer``)
-alone — never from completion order or worker identity.  Under that
-contract the merged result is identical for any worker count and any
-scheduling, which is what ``tests/test_runner_determinism.py`` asserts.
+``specs[i]`` (plus state built by ``initializer``) alone — never from
+completion order or worker identity.  Under that contract the merged
+result is identical for any worker count and any scheduling, which is
+what ``tests/test_runner_determinism.py`` asserts.
 
 Heavy shared state (a compiled netlist with its ATPG vectors) is *not*
-pickled per shard: ``initializer`` runs once per worker process and
-parks the state in a module global.  On POSIX the default ``fork`` start
-method lets workers inherit state already built in the parent, so the
-initializer's rebuild is skipped entirely (see
-``campaigns.prepare_isolation``).
+pickled per shard: ``initializer`` runs once per worker process.
+:func:`~repro.runner.protocol.run_campaign` passes the context cache's
+lookup there, so a worker that forked from a parent holding the context
+skips the rebuild entirely.
 
 Telemetry: when the parent's :data:`~repro.telemetry.TELEMETRY` is
 enabled, each shard runs inside a fresh

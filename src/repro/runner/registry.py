@@ -1,291 +1,29 @@
-"""Uniform campaign registry: one descriptor per runnable campaign.
+"""The registered campaigns, by name.
 
-The six registered campaigns (isolation, montecarlo, ipc, inject,
-decide, repair) share the runner recipe — a frozen spec dataclass, a ``run_*`` entry point with the
-``(spec, *, workers, resume, checkpoint, cache_root, store, progress)``
-signature, and a JSON-serializable merged result — but until now each
-caller (the CLI, tests, benchmarks) hard-coded the per-campaign imports
-and codecs.  :data:`REGISTRY` centralizes them behind
-:class:`CampaignEntry` so generic infrastructure (the campaign service,
-``repro run``'s choices list) can drive *any* registered campaign from a
-``(name, params-dict)`` pair:
-
-- :meth:`CampaignEntry.make_spec` builds the frozen spec from a plain
-  JSON params dict (tuple-typed fields are coerced from lists, unknown
-  keys raise ``TypeError`` — the service's 400 path);
-- :meth:`CampaignEntry.store_for` derives the same
-  :class:`~repro.runner.store.CheckpointStore` the campaign would build
-  itself, so service runs and direct CLI runs share checkpoints;
-- :meth:`CampaignEntry.result_to_json` / :meth:`result_from_json` /
-  :meth:`summarize` round-trip the merged result across the HTTP
-  boundary.
-
-All heavy imports stay inside the entry methods: importing this module
-costs nothing beyond the runner package itself, so the CLI can list
-campaign names without building netlists.
+:data:`REGISTRY` maps each campaign name to its
+:class:`~repro.runner.protocol.Campaign` object, in CLI/choices order.
+Generic code (the campaign service, ``repro run``'s choices list,
+``repro submit``/``result``) drives any campaign from a
+``(name, params-dict)`` pair through the protocol's generic methods:
+``make_spec``, ``run``, ``store_for`` and the result codec.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import asdict, dataclass
-from importlib import import_module
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict
 
-from repro.runner.store import CheckpointStore, config_hash
+from repro.decide.campaign import DECIDE
+from repro.inject.campaign import INJECT
+from repro.repair.campaign import REPAIR
+from repro.runner.campaigns import IPC, ISOLATION, MONTECARLO
+from repro.runner.protocol import Campaign
 
-
-def _coerce_tuples(spec_cls: type, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Convert JSON lists back to tuples for tuple-typed spec fields.
-
-    JSON has no tuple type, so a params dict that round-tripped through
-    the service carries lists where the frozen specs want (hashable)
-    tuples.  Fields are recognized by their dataclass default or by the
-    value actually supplied; nested lists (``blocks``) convert too.
-    """
-    defaults = {
-        f.name: f.default for f in dataclasses.fields(spec_cls)
-    }
-    out: Dict[str, Any] = {}
-    for key, value in params.items():
-        if key not in defaults:
-            raise TypeError(
-                f"{spec_cls.__name__} has no parameter {key!r}"
-            )
-        if isinstance(value, list):
-            value = tuple(value)
-        out[key] = value
-    return out
-
-
-@dataclass(frozen=True)
-class CampaignEntry:
-    """Everything generic code needs to drive one campaign by name.
-
-    ``module`` / ``spec_name`` / ``run_name`` are resolved lazily so the
-    registry itself imports nothing heavy; ``store_name`` is the
-    checkpoint-file prefix the campaign's own ``_campaign_store`` uses
-    (keeping service and CLI checkpoints interchangeable).
-    """
-
-    name: str
-    module: str
-    spec_name: str
-    run_name: str
-    store_name: str
-    # Result codec: (to_json, from_json, summarize), resolved lazily via
-    # the functions below (they import the result class on first use).
-    _codec: str = "default"
-
-    # -- lazy resolution ------------------------------------------------
-    def _mod(self):
-        return import_module(self.module)
-
-    @property
-    def spec_cls(self) -> type:
-        """The frozen spec dataclass for this campaign."""
-        return getattr(self._mod(), self.spec_name)
-
-    @property
-    def run(self) -> Callable[..., Any]:
-        """The campaign's ``run_*`` entry point."""
-        return getattr(self._mod(), self.run_name)
-
-    # -- spec / store ---------------------------------------------------
-    def make_spec(self, params: Optional[Mapping[str, Any]] = None):
-        """Build the frozen spec from a plain JSON params dict.
-
-        Raises ``TypeError`` on unknown keys or un-constructible values
-        (the service maps that to HTTP 400).
-        """
-        cls = self.spec_cls
-        return cls(**_coerce_tuples(cls, params or {}))
-
-    def canonical_params(self, spec: Any) -> Dict[str, Any]:
-        """The spec as a JSON-clean dict with every default filled in."""
-        return asdict(spec)
-
-    def job_key(self, spec: Any) -> str:
-        """The service's job id: campaign name + full canonical spec."""
-        return config_hash(
-            {"campaign": self.name, "spec": self.canonical_params(spec)}
-        )
-
-    def store_for(
-        self, spec: Any, cache_root: Optional[str] = None
-    ) -> CheckpointStore:
-        """The checkpoint store this campaign would build for ``spec``.
-
-        Identical key derivation to the campaign's internal
-        ``_campaign_store``, so a service job resumes a checkpoint left
-        by ``repro run`` and vice versa.
-        """
-        return CheckpointStore(
-            self.store_name, config_hash(asdict(spec)), root=cache_root
-        )
-
-    # -- result codec ---------------------------------------------------
-    def result_to_json(self, result: Any) -> Any:
-        """Serialize a merged campaign result for the HTTP boundary."""
-        return _CODECS[self.name][0](result)
-
-    def result_from_json(self, payload: Any) -> Any:
-        """Inverse of :meth:`result_to_json`."""
-        return _CODECS[self.name][1](payload)
-
-    def summarize(self, result: Any) -> str:
-        """Human-readable one-shot report of a merged result."""
-        return _CODECS[self.name][2](result)
-
-
-# ----------------------------------------------------------------------
-# Per-campaign result codecs (lazy imports; results differ structurally)
-# ----------------------------------------------------------------------
-
-def _isolation_from_json(payload):
-    from repro.rtl.experiment import IsolationStats
-
-    return IsolationStats.from_json(payload)
-
-
-def _montecarlo_to_json(result):
-    return asdict(result)
-
-
-def _montecarlo_from_json(payload):
-    from repro.yieldmodel.montecarlo import MonteCarloResult
-
-    return MonteCarloResult(**payload)
-
-
-def _ipc_to_json(result):
-    return [
-        {"benchmark": bench, "key": list(key), "ipc": ipc}
-        for (bench, key), ipc in sorted(result.measured.items())
-    ]
-
-
-def _ipc_from_json(payload):
-    from repro.runner.campaigns import IpcSweepResult
-
-    return IpcSweepResult(
-        {
-            (rec["benchmark"], tuple(rec["key"])): rec["ipc"]
-            for rec in payload
-        }
-    )
-
-
-def _ipc_summarize(result) -> str:
-    benches = sorted({bench for bench, _ in result.measured})
-    lines = [f"ipc sweep: {len(result.measured)} measurements"]
-    for bench in benches:
-        ipcs = [
-            ipc for (b, _), ipc in result.measured.items() if b == bench
-        ]
-        lines.append(
-            f"  {bench:10s} best {max(ipcs):.3f}  worst {min(ipcs):.3f}"
-        )
-    return "\n".join(lines)
-
-
-def _inject_from_json(payload):
-    from repro.inject.campaign import InjectionStats
-
-    return InjectionStats.from_json(payload)
-
-
-def _decide_from_json(payload):
-    from repro.decide.campaign import DecideResult
-
-    return DecideResult.from_json(payload)
-
-
-def _repair_from_json(payload):
-    from repro.repair.campaign import RepairResult
-
-    return RepairResult.from_json(payload)
-
-
-#: name -> (to_json, from_json, summarize)
-_CODECS: Dict[str, Tuple[Callable, Callable, Callable]] = {
-    "isolation": (
-        lambda r: r.to_json(),
-        _isolation_from_json,
-        lambda r: r.summary(),
-    ),
-    "montecarlo": (
-        _montecarlo_to_json,
-        _montecarlo_from_json,
-        lambda r: r.summary(),
-    ),
-    "ipc": (_ipc_to_json, _ipc_from_json, _ipc_summarize),
-    "inject": (
-        lambda r: r.to_json(),
-        _inject_from_json,
-        lambda r: r.summary(),
-    ),
-    "decide": (
-        lambda r: r.to_json(),
-        _decide_from_json,
-        lambda r: r.summary(),
-    ),
-    "repair": (
-        lambda r: r.to_json(),
-        _repair_from_json,
-        lambda r: r.summary(),
-    ),
+REGISTRY: Dict[str, Campaign] = {
+    c.name: c for c in (ISOLATION, MONTECARLO, IPC, INJECT, DECIDE, REPAIR)
 }
 
 
-#: The registered campaigns, in CLI/choices order.
-REGISTRY: Dict[str, CampaignEntry] = {
-    "isolation": CampaignEntry(
-        name="isolation",
-        module="repro.runner.campaigns",
-        spec_name="IsolationSpec",
-        run_name="run_isolation",
-        store_name="isolation",
-    ),
-    "montecarlo": CampaignEntry(
-        name="montecarlo",
-        module="repro.runner.campaigns",
-        spec_name="MonteCarloSpec",
-        run_name="run_montecarlo",
-        store_name="montecarlo",
-    ),
-    "ipc": CampaignEntry(
-        name="ipc",
-        module="repro.runner.campaigns",
-        spec_name="IpcSweepSpec",
-        run_name="run_ipc_sweep",
-        store_name="ipc",
-    ),
-    "inject": CampaignEntry(
-        name="inject",
-        module="repro.inject.campaign",
-        spec_name="InjectionSpec",
-        run_name="run_injection",
-        store_name="inject",
-    ),
-    "decide": CampaignEntry(
-        name="decide",
-        module="repro.decide.campaign",
-        spec_name="DecideSpec",
-        run_name="run_decide",
-        store_name="decide",
-    ),
-    "repair": CampaignEntry(
-        name="repair",
-        module="repro.repair.campaign",
-        spec_name="RepairSpec",
-        run_name="run_repair",
-        store_name="repair",
-    ),
-}
-
-
-def get_campaign(name: str) -> CampaignEntry:
+def get_campaign(name: str) -> Campaign:
     """Look up a registered campaign; ``KeyError`` lists valid names."""
     try:
         return REGISTRY[name]

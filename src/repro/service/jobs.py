@@ -2,7 +2,7 @@
 
 A *job* is one submitted :class:`CampaignSpec` instance — campaign name
 plus canonical params — identified by the spec hash
-(:meth:`~repro.runner.registry.CampaignEntry.job_key`).  The identity is
+(:meth:`~repro.runner.protocol.Campaign.job_key`).  The identity is
 the idempotency contract: resubmitting the same spec (concurrently or
 after completion) addresses the same job, so the service performs at
 most one computation per spec hash.

@@ -25,11 +25,14 @@ properties all follow from reusing the runner's determinism contract:
   ``/metrics`` exposes the telemetry registry's export snapshot.
 
 Concurrency model: worker threads execute jobs; a per-campaign lock
-serializes jobs of the same campaign (the campaign modules cache heavy
-worker-global state), and an additional global lock serializes all job
-execution while telemetry is enabled (the registry is process-global and
-single-writer by design).  Shard-level parallelism inside one job uses
-worker *processes* via the executor, exactly as the CLI does.
+serializes jobs of the same campaign (the runner caches one context per
+campaign, so two specs of one campaign would rebuild it in turn), and an
+additional global lock serializes all job execution while telemetry is
+enabled (the registry is process-global and single-writer by design).
+Jobs of different campaigns may run at once: each shard looks up the
+context of its own spec, so they never read each other's state.
+Shard-level parallelism inside one job uses worker *processes* via the
+executor, exactly as the CLI does.
 
 HTTP endpoints::
 
@@ -50,12 +53,14 @@ import json
 import math
 import threading
 import time
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.runner.registry import REGISTRY, CampaignEntry, get_campaign
+from repro.runner.protocol import Campaign
+from repro.runner.registry import REGISTRY, get_campaign
 from repro.runner.store import default_cache_root
 from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.jobs import (
@@ -66,6 +71,9 @@ from repro.service.jobs import (
     WorkerKilled,
 )
 from repro.telemetry import TELEMETRY
+
+#: Largest ``POST /jobs`` body read; a longer declared length gets 413.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class CampaignService:
@@ -93,7 +101,7 @@ class CampaignService:
         verbose: bool = False,
         faults: Optional[Any] = None,
     ) -> None:
-        self.registry: Dict[str, CampaignEntry] = REGISTRY
+        self.registry: Dict[str, Campaign] = REGISTRY
         self.cache_root = (
             Path(cache_root) if cache_root is not None
             else default_cache_root()
@@ -168,12 +176,12 @@ class CampaignService:
                 continue  # journal from a newer/older registry; skip
             try:
                 spec = entry.make_spec(rec.get("params", {}))
-            except TypeError:
+            except (TypeError, ValueError):
                 continue
             job = Job(
                 id=job_id,
                 campaign=entry.name,
-                params=entry.canonical_params(spec),
+                params=asdict(spec),
                 spec=spec,
             )
             state = rec.get("state")
@@ -197,15 +205,15 @@ class CampaignService:
         """Admit (or coalesce) a job for ``(campaign, params)``.
 
         Returns ``(job, created)``.  Raises ``KeyError`` for an unknown
-        campaign, ``TypeError`` for bad params, ``QueueFull`` when the
-        backlog is at capacity.
+        campaign, ``TypeError`` for unknown params, ``ValueError`` for
+        invalid values, ``QueueFull`` when the backlog is at capacity.
         """
         entry = get_campaign(campaign)
         spec = entry.make_spec(params)
         job = Job(
             id=entry.job_key(spec),
             campaign=campaign,
-            params=entry.canonical_params(spec),
+            params=asdict(spec),
             spec=spec,
         )
         was_failed = (
@@ -412,8 +420,19 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path.rstrip("/") != "/jobs":
             self._json(404, {"error": f"no such route {parsed.path}"})
             return
+        declared = self.headers.get("Content-Length", "0")
+        length = int(declared) if declared.strip().isdecimal() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Rejected before reading: close rather than parse the unread
+            # body as the next request.
+            self._json(
+                413 if length > MAX_BODY_BYTES else 400,
+                {"error": f"Content-Length {declared!r} is not in "
+                          f"0..{MAX_BODY_BYTES}"},
+                headers={"Connection": "close"},
+            )
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
             body = json.loads(self.rfile.read(length) or b"{}")
             campaign = body["campaign"]
             params = body.get("params") or {}
@@ -436,7 +455,7 @@ class _Handler(BaseHTTPRequestHandler):
         except KeyError as exc:
             self._json(400, {"error": str(exc)})
             return
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             self._json(400, {"error": f"bad params: {exc}"})
             return
         with service.queue.locked():
@@ -471,12 +490,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self._json(404, {"error": f"unknown job {parts[1]!r}"})
                 return
             if parts[2] == "status":
-                query = parse_qs(parsed.query)
-                since = query.get("events_since")
-                with service.queue.locked():
-                    snap = job.snapshot(
-                        events_since=int(since[0]) if since else 0
+                since = parse_qs(parsed.query).get("events_since", ["0"])
+                try:
+                    events_since = int(since[0])
+                except ValueError:
+                    self._json(
+                        400, {"error": f"bad events_since {since[0]!r}"}
                     )
+                    return
+                with service.queue.locked():
+                    snap = job.snapshot(events_since=events_since)
                 self._json(200, snap)
                 return
             if parts[2] == "result":

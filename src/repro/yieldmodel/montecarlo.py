@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from repro.runner.seeding import derive_seed
@@ -46,6 +46,13 @@ class MonteCarloResult:
     # 0.0 when fewer than two chips.  Gives tests a principled tolerance:
     # analytic-vs-MC agreement is asserted within 3 standard errors.
     std_error: float = 0.0
+
+    def to_json(self) -> Dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, payload: Mapping) -> "MonteCarloResult":
+        return cls(**payload)
 
     def summary(self) -> str:
         """One-line batch report."""

@@ -365,6 +365,29 @@ class TestDecideCampaign:
         with pytest.raises(ValueError):
             run_decide(replace(TINY, benchmarks=()), checkpoint=False)
 
+    def test_decide_context_cannot_swap_inject_state(self):
+        # A decide job's injection shards build the inject campaign's
+        # context for injection_spec(decide spec).  When that happens
+        # between the shards of an inject job in the same process (two
+        # service workers), the inject job's remaining shards must still
+        # read their own spec's golden run and fault sample.
+        from repro.decide import prepare_decide
+
+        spec = InjectionSpec(
+            n_instructions=500, n_faults=12, chunk_size=3, seed=4
+        )
+        direct = run_injection(spec, checkpoint=False)
+
+        def decide_builds_its_context(ev):
+            if ev.shard == 0:
+                prepare_decide(TINY)
+
+        raced = run_injection(
+            spec, checkpoint=False, progress=decide_builds_its_context
+        )
+        assert raced.n == spec.n_faults
+        assert raced == direct
+
     def test_key_label_roundtrip(self):
         for cfg in enumerate_configs():
             assert label_key(key_label(cfg.key())) == cfg.key()

@@ -36,7 +36,7 @@ from repro.inject import (
 )
 from repro.inject.arena import SnapshotArena
 from repro.inject.models import FaultyArchState
-import repro.inject.campaign as campaign_mod
+from repro.runner import clear_contexts
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile
 
@@ -407,10 +407,10 @@ class TestGoldenCache:
             n_instructions=300, n_faults=6, chunk_size=6,
             checkpoint_interval=32, golden_cache=True,
         )
-        campaign_mod._INJECT.clear()
+        clear_contexts()
         cold = run_injection(spec, workers=1, checkpoint=False)
         assert list(tmp_path.glob("golden-*.pkl"))
-        campaign_mod._INJECT.clear()
+        clear_contexts()
         warm = run_injection(spec, workers=1, checkpoint=False)
-        campaign_mod._INJECT.clear()
+        clear_contexts()
         assert warm.records == cold.records

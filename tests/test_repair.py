@@ -277,9 +277,8 @@ class TestDeterminism:
             assert rechunked[key] == serial[key]
         # Interrupt-and-resume: seed the store with a partial run, then
         # resume; the merged plan must be identical.
-        from repro.repair.campaign import (
-            _repair_init, _repair_worker, repair_items,
-        )
+        from repro.repair.campaign import REPAIR, repair_items
+        from repro.runner import context
         from repro.runner.store import CheckpointStore, config_hash
 
         store = CheckpointStore(
@@ -287,8 +286,7 @@ class TestDeterminism:
             root=tmp_path,
         )
         items = repair_items(BASELINE)
-        _repair_init(BASELINE)
-        store.append(0, _repair_worker(items[0]))
+        store.append(0, REPAIR.work(context(REPAIR, BASELINE), items[0]))
         resumed = run_repair(
             BASELINE, resume=True, cache_root=tmp_path
         ).to_json()
@@ -461,8 +459,8 @@ class TestScanCache:
     def test_injection_campaign_hits_scan_cache(
         self, tmp_path, monkeypatch
     ):
-        import repro.inject.campaign as ic
         from repro.inject import InjectionSpec, run_injection
+        from repro.runner import clear_contexts
         from repro.telemetry import TELEMETRY
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -474,7 +472,7 @@ class TestScanCache:
         assert any(
             p.name.startswith("scan-") for p in tmp_path.iterdir()
         )
-        ic._INJECT.clear()  # force a cold worker init
+        clear_contexts()  # force a cold context build
         TELEMETRY.reset()
         TELEMETRY.enable()
         try:

@@ -8,6 +8,8 @@ while recomputing only the missing shards.
 """
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
@@ -230,6 +232,36 @@ class TestMonteCarloDeterminism:
 
     def test_std_error_populated(self, mc_serial):
         assert mc_serial.std_error > 0.0
+
+    def test_concurrent_specs_in_threads_match_serial(self):
+        # Service worker threads run jobs of one campaign in a single
+        # process; each shard must read the context of its own spec
+        # while other threads rebuild the campaign's cached context.
+        specs = [
+            dataclasses.replace(MC_SPEC, n_chips=240, chunk_size=8, seed=s)
+            for s in range(6)
+        ]
+        serial = [run_montecarlo(s, checkpoint=False) for s in specs]
+        results = [None] * len(specs)
+
+        def run(i):
+            results[i] = run_montecarlo(specs[i], checkpoint=False)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(i,))
+                for i in range(len(specs))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
 
 
 IPC_SPEC = IpcSweepSpec(

@@ -6,8 +6,10 @@ Fault-injection and crash-recovery coverage lives in
 """
 
 import dataclasses
+import http.client
 import json
 import threading
+from urllib.parse import urlparse
 
 import pytest
 
@@ -21,8 +23,25 @@ from repro.runner import (
 from repro.runner.store import config_hash
 from repro.service import QueueFullError, ServiceError
 from repro.service.jobs import JobJournal
+from repro.service.server import MAX_BODY_BYTES
 from repro.service.testing import service_fixture
 from repro.telemetry import TELEMETRY
+
+def _raw_post(url, content_length):
+    """POST /jobs with a hand-set Content-Length and no body."""
+    parsed = urlparse(url)
+    conn = http.client.HTTPConnection(
+        parsed.hostname, parsed.port, timeout=10
+    )
+    try:
+        conn.putrequest("POST", "/jobs")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
 
 #: Small, fast campaign used throughout: 4 shards, ~50ms total.
 MC_PARAMS = {"n_chips": 400, "chunk_size": 100}
@@ -188,16 +207,50 @@ class TestServiceApi:
             assert again["run_count"] == 1  # exactly one computation
 
     def test_unknown_campaign_and_bad_params_are_400(self, tmp_path):
-        with service_fixture(tmp_path, service_workers=0) as (client, _):
+        with service_fixture(tmp_path, service_workers=0) as (
+            client, service
+        ):
             with pytest.raises(ServiceError) as err:
                 client.submit("frobnicate", {})
             assert err.value.status == 400
             with pytest.raises(ServiceError) as err:
                 client.submit("montecarlo", {"n_chops": 5})
             assert err.value.status == 400
+            # Invalid values are rejected at submit, not when the job runs.
+            for campaign, params in (
+                ("decide", {"n_faults": 0}),
+                ("decide", {"benchmarks": []}),
+                ("repair", {"model": "nonesuch"}),
+            ):
+                with pytest.raises(ServiceError) as err:
+                    client.submit(campaign, params)
+                assert err.value.status == 400
+            assert service.queue.snapshot_all() == []
             with pytest.raises(ServiceError) as err:
                 client.status("nonexistent-job")
             assert err.value.status == 404
+
+    def test_bad_content_length_is_rejected_before_reading(self, tmp_path):
+        with service_fixture(tmp_path, service_workers=0) as (
+            client, service
+        ):
+            # No body follows either header: a server that tried to read
+            # one would block until the client timed out.
+            assert _raw_post(service.url, "-1")[0] == 400
+            status, payload = _raw_post(
+                service.url, str(MAX_BODY_BYTES + 1)
+            )
+            assert status == 413
+            assert str(MAX_BODY_BYTES) in payload["error"]
+            assert client.submit("montecarlo", MC_PARAMS)["created"]
+
+    def test_bad_events_since_is_400(self, tmp_path):
+        with service_fixture(tmp_path, service_workers=0) as (client, _):
+            job = client.submit("montecarlo", MC_PARAMS)["job"]
+            with pytest.raises(ServiceError) as err:
+                client.status(job, events_since="zz")
+            assert err.value.status == 400
+            assert client.status(job)["job"] == job
 
     def test_status_streams_shard_events(self, tmp_path):
         with service_fixture(tmp_path, service_workers=1) as (client, _):
