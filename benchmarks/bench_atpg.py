@@ -1,42 +1,43 @@
-"""ATPG flow benchmark — end-to-end `run_atpg` vectors/sec per backend.
+"""ATPG flow benchmark — end-to-end `run_atpg` vectors/sec, plus the
+compiled-vs-reference PODEM comparison.
 
 Runs the Table-3 scan workload (tiny Rescue core, full-scan, collapsed
-stuck-at universe) end to end with both engine pairs:
-
-- ``word``   — bit-packed fault simulation + compiled event-driven PODEM
-  (:class:`repro.atpg.podem_compiled.CompiledPodem`: undo trail, SCOAP
-  guidance, X-path pruning) with batched fault dropping,
-- ``legacy`` — the reference :class:`repro.atpg.podem.Podem` (full
-  3-valued resimulation per decision) + reference flow bookkeeping.
+stuck-at universe) end to end on the production engine pair — bit-packed
+fault simulation + compiled event-driven PODEM
+(:class:`repro.atpg.podem_compiled.CompiledPodem`: undo trail, SCOAP
+guidance, X-path pruning) with batched fault dropping — and times the
+reference :class:`repro.atpg.podem.Podem` oracle (full 3-valued
+resimulation per decision) on the same deterministic targets.
 
 **Hard-tail exclusion.**  A handful of faults need >10^5 backtracks to
 resolve under *any* PODEM (redundancy proofs are exponential in the
 worst case), so no finite backtrack budget yields an abort-free run of
 the raw universe.  The bench therefore pre-screens the deterministic
 phase's targets standalone under *both* engines and excludes any fault
-either engine aborts on — a backend-neutral filter, recorded in the JSON
-(``n_excluded_hard``).  On the filtered workload every targeted fault
-provably resolves, so both backends finish with zero aborts and the
-detected/untestable/aborted statistics must be **bit-identical** (PODEM
-verdicts are per-fault deterministic; untestable faults are never
-collaterally dropped).  That equivalence is asserted before any number
-is reported.
+either engine aborts on — an engine-neutral filter, recorded in the JSON
+(``n_excluded_hard``).  The screen doubles as the per-target PODEM
+timing of engine and oracle.  On the filtered workload every targeted
+fault provably resolves, so the flow must finish with zero aborts,
+report exactly the faults the oracle PODEM proves untestable, and its
+patterns must detect every other fault under the reference simulator.
+That oracle-coverage check is asserted before any number is reported.
 
-Results go to ``BENCH_atpg.json`` at the repo root: per-backend wall
-time, vectors/sec, backtracks, and the word/legacy speedup.
+Results go to ``BENCH_atpg.json`` at the repo root: flow wall time,
+vectors/sec, backtracks, and the per-target PODEM screen time of the
+compiled engine and the reference oracle.
 
 Command line:
 
 ```
 python benchmarks/bench_atpg.py           # measure + write JSON (minutes:
-                                          # the legacy run dominates)
+                                          # the reference screen dominates)
 python benchmarks/bench_atpg.py --check   # fast equivalence gate (CI)
 ```
 
-``--check`` asserts legacy/compiled verdict agreement on random circuits
-and a sampled slice of the Rescue workload, plus batched-vs-per-pattern
-dropping equivalence, and exits nonzero on any mismatch without touching
-the JSON.
+``--check`` asserts reference/compiled verdict agreement on random
+circuits and a sampled slice of the Rescue workload, plus the flow's
+oracle coverage on the random circuits, and exits nonzero on any
+mismatch without touching the JSON.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def _random_survivors(netlist, faults, seed, batch_size=64,
     """Faults the flow's random phase leaves for PODEM (replicates the
     random phase of :func:`run_atpg` with its default knobs)."""
     from repro.atpg.faultsim import grade_faults
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
 
-    sim = make_simulator(netlist, "word")
+    sim = PackedWordSimulator(netlist)
     rng = np.random.default_rng(seed)
     remaining = list(faults)
     for _ in range(max_random_batches):
@@ -108,11 +109,32 @@ def _flow_stats(result):
     }
 
 
+def _assert_oracle_coverage(netlist, targets, result, untestable, label):
+    """The flow's verdicts against the oracles: zero aborts, exactly the
+    oracle-proven untestable faults reported untestable, and every other
+    target detected by the flow's patterns under the reference
+    simulator."""
+    from repro.atpg.faultsim import grade_faults
+    from repro.netlist.simulate import PackedSimulator
+
+    assert result.n_aborted == 0, f"{label}: flow aborted targets"
+    assert result.n_untestable == len(untestable), (
+        f"{label}: flow reports {result.n_untestable} untestable, the "
+        f"reference PODEM proves {len(untestable)}"
+    )
+    grade = grade_faults(
+        netlist, targets, result.patterns, sim=PackedSimulator(netlist)
+    )
+    assert set(grade.detected) == set(targets) - set(untestable), (
+        f"{label}: flow patterns do not detect exactly the testable "
+        f"targets under the reference simulator"
+    )
+
+
 def measure(seed: int = SEED,
             backtrack_limit: int = BACKTRACK_LIMIT) -> dict:
-    """Time both backends end to end on the Table-3 scan workload."""
+    """Time the flow end to end; time compiled vs reference PODEM."""
     from repro.atpg.flow import run_atpg
-    from repro.atpg.faultsim import grade_faults
     from repro.atpg.podem import Podem
     from repro.atpg.podem_compiled import CompiledPodem
     from repro.telemetry import TELEMETRY
@@ -123,68 +145,48 @@ def measure(seed: int = SEED,
     print(f"{len(faults)} collapsed faults, {len(survivors)} survive the "
           f"random phase; screening the hard tail...", flush=True)
 
-    # Backend-neutral hard-tail screen: standalone PODEM per survivor
-    # under both engines; exclude faults either engine aborts on.
+    # Engine-neutral hard-tail screen: standalone PODEM per survivor
+    # under the engine and the oracle; exclude faults either aborts on.
     screen_times = {}
     aborted = set()
+    untestable = set()
     for name, engine in (
-        ("word", CompiledPodem(netlist, backtrack_limit=backtrack_limit)),
-        ("legacy", Podem(netlist, backtrack_limit=backtrack_limit)),
+        ("compiled", CompiledPodem(netlist,
+                                   backtrack_limit=backtrack_limit)),
+        ("reference", Podem(netlist, backtrack_limit=backtrack_limit)),
     ):
         t0 = time.perf_counter()
         for fault in survivors:
-            if engine.generate(fault).status == "aborted":
+            status = engine.generate(fault).status
+            if status == "aborted":
                 aborted.add(fault)
+            elif status == "untestable" and name == "reference":
+                untestable.add(fault)
         screen_times[name] = time.perf_counter() - t0
-        print(f"  screened with {name} in {screen_times[name]:.1f}s "
-              f"({len(aborted)} hard so far)", flush=True)
+        print(f"  screened with {name} PODEM in "
+              f"{screen_times[name]:.1f}s ({len(aborted)} hard so far)",
+              flush=True)
     bench_faults = [f for f in faults if f not in aborted]
 
-    backends = {}
-    results = {}
-    for name in ("word", "legacy"):
-        TELEMETRY.enable()
-        try:
-            with TELEMETRY.collect() as metrics:
-                t0 = time.perf_counter()
-                results[name] = run_atpg(
-                    netlist,
-                    faults=bench_faults,
-                    seed=seed,
-                    backtrack_limit=backtrack_limit,
-                    backend=name,
-                )
-                elapsed = time.perf_counter() - t0
-        finally:
-            TELEMETRY.disable()
-            TELEMETRY.reset()
-        counters = metrics.counters
-        res = results[name]
-        backends[name] = {
-            "run_seconds": round(elapsed, 2),
-            "vectors_per_sec": round(res.n_vectors / elapsed, 2),
-            "podem_targets": counters.get("podem.targets", 0),
-            "podem_backtracks": counters.get("podem.backtracks", 0),
-            "podem_cone_evals": counters.get("podem.cone_evals", 0),
-            "podem_xpath_prunes": counters.get("podem.xpath_prunes", 0),
-            **_flow_stats(res),
-        }
-        print(f"  {name}: {elapsed:.1f}s, {res.summary()}", flush=True)
-
-    w, l = results["word"], results["legacy"]
-    for field in ("n_detected", "n_untestable", "n_aborted",
-                  "n_collapsed_faults"):
-        assert getattr(w, field) == getattr(l, field), (
-            f"{field} differs: word={getattr(w, field)} "
-            f"legacy={getattr(l, field)}"
-        )
-    assert w.n_aborted == 0, "hard-tail screen missed an aborting fault"
-    g_w = grade_faults(netlist, bench_faults, w.patterns)
-    g_l = grade_faults(netlist, bench_faults, l.patterns)
-    assert set(g_w.detected) == set(g_l.detected), (
-        "pattern sets cover different fault sets"
+    TELEMETRY.enable()
+    try:
+        with TELEMETRY.collect() as metrics:
+            t0 = time.perf_counter()
+            result = run_atpg(
+                netlist,
+                faults=bench_faults,
+                seed=seed,
+                backtrack_limit=backtrack_limit,
+            )
+            elapsed = time.perf_counter() - t0
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+    print(f"  flow: {elapsed:.1f}s, {result.summary()}", flush=True)
+    _assert_oracle_coverage(
+        netlist, bench_faults, result, untestable - aborted, "Rescue"
     )
-
+    counters = metrics.counters
     return {
         "workload": "table3-tiny-rescue-scan",
         "netlist": netlist.stats(),
@@ -193,24 +195,36 @@ def measure(seed: int = SEED,
         "n_random_survivors": len(survivors),
         "n_excluded_hard": len(aborted),
         "n_bench_faults": len(bench_faults),
-        "backends": backends,
-        "speedup_word_over_legacy": round(
-            backends["legacy"]["run_seconds"]
-            / backends["word"]["run_seconds"], 2
+        "flow": {
+            "run_seconds": round(elapsed, 2),
+            "vectors_per_sec": round(result.n_vectors / elapsed, 2),
+            "podem_targets": counters.get("podem.targets", 0),
+            "podem_backtracks": counters.get("podem.backtracks", 0),
+            "podem_cone_evals": counters.get("podem.cone_evals", 0),
+            "podem_xpath_prunes": counters.get("podem.xpath_prunes", 0),
+            **_flow_stats(result),
+        },
+        "podem_screen_seconds": {
+            name: round(t, 2) for name, t in screen_times.items()
+        },
+        "speedup_compiled_over_reference_podem": round(
+            screen_times["reference"] / screen_times["compiled"], 2
         ),
-        "agreement": "bit-identical detected/untestable/aborted; "
-                     "identical graded detected sets",
+        "agreement": "zero aborts; untestable set equals the reference "
+                     "PODEM's proofs; patterns detect every other target "
+                     "under the reference simulator",
     }
 
 
 def check(seed: int = SEED) -> None:
-    """Pre-merge gate: legacy/compiled PODEM equivalence, fast.
+    """Pre-merge gate: reference/compiled PODEM equivalence, fast.
 
     1. Random circuits: per-fault verdicts agree at a no-abort budget,
-       every compiled pattern detects its target, and `run_atpg`
-       statistics are bit-identical across backends.
-    2. Batched (`drop_batch=64`) vs per-pattern (`drop_batch=1`)
-       dropping covers the same fault set.
+       and every compiled pattern detects its target.
+    2. The same circuits' `run_atpg` flow (batched dropping, compaction)
+       matches the oracles: zero aborts, its untestable count equals the
+       faults the reference PODEM proves untestable, and its patterns
+       detect exactly the other targets under the reference simulator.
     3. Rescue workload slice: standalone verdicts agree on a fault
        sample wherever neither engine aborts (an abort makes no claim).
     """
@@ -221,7 +235,7 @@ def check(seed: int = SEED) -> None:
     from repro.atpg.podem import Podem
     from repro.atpg.podem_compiled import CompiledPodem
     from repro.netlist import GateType, Netlist
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
 
     kinds = [GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
              GateType.NOR, GateType.NOT, GateType.MUX2]
@@ -242,18 +256,21 @@ def check(seed: int = SEED) -> None:
     n_verdicts = 0
     for cseed in range(8):
         nl = circuit(cseed)
-        sim = make_simulator(nl, "word")
-        legacy = Podem(nl, backtrack_limit=5_000)
+        sim = PackedWordSimulator(nl)
+        reference = Podem(nl, backtrack_limit=5_000)
         compiled = CompiledPodem(nl, backtrack_limit=5_000)
         targets = collapse_faults(nl, full_fault_universe(nl))
+        untestable = set()
         for fault in targets:
-            r_l = legacy.generate(fault)
+            r_l = reference.generate(fault)
             r_c = compiled.generate(fault)
             assert r_l.status == r_c.status, (
                 f"seed {cseed} {fault.describe()}: "
-                f"legacy={r_l.status} compiled={r_c.status}"
+                f"reference={r_l.status} compiled={r_c.status}"
             )
             n_verdicts += 1
+            if r_l.status == "untestable":
+                untestable.add(fault)
             if r_c.status == "detected":
                 row = np.zeros((1, sim.n_sources), dtype=bool)
                 for net, val in r_c.pattern.items():
@@ -263,43 +280,32 @@ def check(seed: int = SEED) -> None:
                     f"seed {cseed}: compiled pattern misses "
                     f"{fault.describe()}"
                 )
-        res_w = run_atpg(nl, seed=3, backtrack_limit=5_000, backend="word")
-        res_l = run_atpg(nl, seed=3, backtrack_limit=5_000,
-                         backend="legacy")
-        assert _flow_stats(res_w)["n_detected"] == (
-            _flow_stats(res_l)["n_detected"]
-        )
-        assert res_w.n_untestable == res_l.n_untestable
-        assert res_w.n_aborted == 0 and res_l.n_aborted == 0
-        res_b = run_atpg(nl, seed=3, backtrack_limit=5_000, drop_batch=64)
-        res_p = run_atpg(nl, seed=3, backtrack_limit=5_000, drop_batch=1)
-        g_b = grade_faults(nl, targets, res_b.patterns)
-        g_p = grade_faults(nl, targets, res_p.patterns)
-        assert set(g_b.detected) == set(g_p.detected), (
-            f"seed {cseed}: batched dropping changed the covered set"
+        result = run_atpg(nl, seed=3, backtrack_limit=5_000)
+        _assert_oracle_coverage(
+            nl, targets, result, untestable, f"seed {cseed}"
         )
 
     netlist = _build_netlist()
     faults = _fault_list(netlist)
     sample = faults[:: max(1, len(faults) // 40)]
-    legacy = Podem(netlist, backtrack_limit=128)
+    reference = Podem(netlist, backtrack_limit=128)
     compiled = CompiledPodem(netlist, backtrack_limit=128)
     agreed = skipped = 0
     for fault in sample:
-        s_l = legacy.generate(fault).status
+        s_l = reference.generate(fault).status
         s_c = compiled.generate(fault).status
         if "aborted" in (s_l, s_c):
             skipped += 1  # an abort is a non-verdict, not a disagreement
             continue
         assert s_l == s_c, (
-            f"Rescue {fault.describe()}: legacy={s_l} compiled={s_c}"
+            f"Rescue {fault.describe()}: reference={s_l} compiled={s_c}"
         )
         agreed += 1
     print(
-        f"check OK: {n_verdicts} random-circuit verdicts, 8 flow stat "
-        f"comparisons and batched-dropping checks, {agreed} Rescue "
-        f"verdicts bit-identical across backends ({skipped} abort-"
-        f"budget skips)"
+        f"check OK: {n_verdicts} random-circuit verdicts, 8 flow "
+        f"oracle-coverage checks, {agreed} Rescue verdicts bit-identical "
+        f"between compiled and reference PODEM ({skipped} abort-budget "
+        f"skips)"
     )
 
 
@@ -311,14 +317,17 @@ def _print_result(data: dict) -> None:
           f"({data['n_excluded_hard']} hard-tail excluded of "
           f"{data['n_collapsed_faults']} collapsed), backtrack limit "
           f"{data['backtrack_limit']}")
-    for name, row in data["backends"].items():
-        print(f"  {name:>7}: {row['run_seconds']:8.2f} s   "
-              f"{row['n_vectors']} vectors "
-              f"({row['vectors_per_sec']:.2f}/s), "
-              f"{row['podem_backtracks']} backtracks, "
-              f"coverage {100 * row['coverage']:.2f}%")
-    print(f"  speedup: {data['speedup_word_over_legacy']}x "
-          f"({data['agreement']})")
+    row = data["flow"]
+    print(f"  flow: {row['run_seconds']:8.2f} s   "
+          f"{row['n_vectors']} vectors "
+          f"({row['vectors_per_sec']:.2f}/s), "
+          f"{row['podem_backtracks']} backtracks, "
+          f"coverage {100 * row['coverage']:.2f}%")
+    screen = data["podem_screen_seconds"]
+    print(f"  PODEM screen: compiled {screen['compiled']} s, reference "
+          f"{screen['reference']} s "
+          f"({data['speedup_compiled_over_reference_podem']}x)")
+    print(f"  {data['agreement']}")
 
 
 def main(argv=None) -> int:

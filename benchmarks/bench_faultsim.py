@@ -1,18 +1,19 @@
 """Fault-simulation engine benchmark — fault-pattern evaluations/sec.
 
 Grades the full collapsed fault universe of the Rescue core netlist
-against a random pattern set with both engines:
+against a random pattern set with the engine and its oracle:
 
 - ``word``   — :class:`repro.netlist.compiled.PackedWordSimulator`
   (levelized structure-of-arrays, 64 bit-packed patterns per uint64 word,
-  event-driven cone re-simulation),
+  event-driven cone re-simulation), the only production engine,
 - ``legacy`` — :class:`repro.netlist.simulate.PackedSimulator`
-  (dict of per-net numpy bool arrays; the reference).
+  (dict of per-net numpy bool arrays), the reference oracle, handed to
+  the grader through its ``sim=`` argument.
 
 Throughput is ``faults x patterns / seconds``.  Results (and the
-word/legacy speedup) are written to ``BENCH_faultsim.json`` at the repo
-root — the repo's perf trajectory record; equivalence between backends
-is asserted bit-for-bit before any number is reported.
+oracle-vs-engine speedup) are written to ``BENCH_faultsim.json`` at the
+repo root — the repo's perf trajectory record; equivalence with the
+oracle is asserted bit-for-bit before any number is reported.
 
 Command line:
 
@@ -24,7 +25,7 @@ python benchmarks/bench_faultsim.py --patterns 1024
 ```
 
 ``--check`` is the pre-merge perf gate (see benchmarks/README.md): it
-asserts backend equivalence (detection verdicts + first-detection
+asserts engine/oracle equivalence (detection verdicts + first-detection
 indices + captured responses) on a small netlist and exits nonzero on
 any mismatch, without touching the JSON.
 """
@@ -73,15 +74,19 @@ def _assert_equivalent(grade_a, grade_b, label: str) -> None:
 def measure(
     full: bool = False, n_patterns: int = 512, seed: int = 0
 ) -> dict:
-    """Time both backends on the Rescue core netlist; verify agreement."""
+    """Time the engine and its oracle on the Rescue core netlist; verify
+    agreement."""
     from repro.atpg.faultsim import grade_faults
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
+    from repro.netlist.simulate import PackedSimulator
 
     netlist = _build_netlist(full)
     faults = _fault_list(netlist)
     rng = np.random.default_rng(seed)
-    sims = {name: make_simulator(netlist, name) for name in ("legacy",
-                                                             "word")}
+    sims = {
+        "legacy": PackedSimulator(netlist),
+        "word": PackedWordSimulator(netlist),
+    }
     patterns = rng.integers(
         0, 2, size=(n_patterns, sims["word"].n_sources)
     ).astype(bool)
@@ -128,7 +133,7 @@ def measure(
 
 
 def check(seed: int = 0) -> None:
-    """Pre-merge smoke gate: backend equivalence on a small netlist.
+    """Pre-merge smoke gate: engine/oracle equivalence on a small netlist.
 
     Covers grading (verdicts + first-detection indices), per-pattern
     detection vectors, and faulty captured responses for every collapsed
@@ -137,13 +142,14 @@ def check(seed: int = 0) -> None:
     """
     from repro.atpg.compaction import detection_matrix
     from repro.atpg.faultsim import grade_faults
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
+    from repro.netlist.simulate import PackedSimulator
 
     netlist = _build_netlist(full=False)
     faults = _fault_list(netlist)
     rng = np.random.default_rng(seed)
-    word = make_simulator(netlist, "word")
-    legacy = make_simulator(netlist, "legacy")
+    word = PackedWordSimulator(netlist)
+    legacy = PackedSimulator(netlist)
     patterns = rng.integers(0, 2, size=(96, word.n_sources)).astype(bool)
 
     g_word = grade_faults(netlist, faults, patterns, sim=word)
@@ -170,7 +176,7 @@ def check(seed: int = 0) -> None:
     print(
         f"check OK: {len(faults)} faults x {patterns.shape[0]} patterns, "
         f"{len(sample)} detection vectors and {min(60, len(sample))} "
-        f"faulty captures bit-exact across backends"
+        f"faulty captures bit-exact against the oracle"
     )
 
 
@@ -220,11 +226,11 @@ def test_faultsim_backend_equivalence(benchmark):
     check()
 
     from repro.atpg.faultsim import grade_faults
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
 
     netlist = _build_netlist(full=False)
     faults = _fault_list(netlist)[:500]
-    sim = make_simulator(netlist, "word")
+    sim = PackedWordSimulator(netlist)
     rng = np.random.default_rng(0)
     patterns = rng.integers(0, 2, size=(512, sim.n_sources)).astype(bool)
     benchmark(lambda: grade_faults(netlist, faults, patterns, sim=sim))

@@ -7,16 +7,15 @@ faults sampled only from mapped-out ICI blocks must classify 100%
 on the full core (where those blocks are live) produce a nonzero
 SDC/hang/detection rate.  Also verifies that campaign results are
 bit-identical between serial and multi-worker execution, across a
-checkpoint/resume cycle, and between every replay strategy — grouped
-warm-core replay, ungrouped per-fault forking, scan-disabled forking
-(the PR 6 behavior), and the from-scratch reference path, each at two
-checkpoint intervals.  Performance is gated twice: total simulated
-cycles forked vs from-scratch must drop by at least 3x, and
-checkpoint-grouped replay with the sticky first-effect scan at a finer
-interval must beat the PR 6 forked baseline by at least 2x wall clock
-(both recorded in the JSON, along with peak RSS, the compressed
-snapshot-arena footprint, and a cold/warm golden-prefix-cache probe —
-a warm campaign must simulate zero golden cycles).
+checkpoint/resume cycle, and between the campaign's replay strategy
+(checkpoint-grouped warm-core replay with the sticky first-effect scan)
+and the from-scratch reference path, at two checkpoint intervals.
+Performance is gated on total simulated cycles: forked replay must
+simulate at least 3x fewer than from-scratch.  The JSON also records
+wall clock, peak RSS, the grouped replay's reuse/skip counters and
+compressed snapshot-arena footprint at a finer interval (the arena must
+compress), and a cold/warm golden-prefix-cache probe — a warm campaign
+must simulate zero golden cycles.
 
 Results land in ``BENCH_inject.json`` at the repo root.
 
@@ -29,7 +28,7 @@ python benchmarks/bench_inject.py --faults 256 --workers 8
 ```
 
 ``--check`` runs a small campaign pair and asserts masking, worker /
-resume invariance, replay-strategy equivalence, and the golden-cache
+resume invariance, fork/scratch equivalence, and the golden-cache
 cold/warm contract, exiting nonzero on any violation without touching
 the JSON.
 """
@@ -111,10 +110,9 @@ def _masking_specs(spec):
 
 
 def _assert_fork_equivalence(spec) -> None:
-    """Every replay strategy must reproduce from-scratch stats
-    bit-exactly on the masking-validation fault list, at any checkpoint
-    interval: grouped warm-core replay, ungrouped per-fault forking,
-    and scan-disabled forking (the PR 6 behavior)."""
+    """The campaign's replay strategy (grouped, scan-guided forking)
+    must reproduce the from-scratch reference's stats bit-exactly on
+    the masking-validation fault list, at any checkpoint interval."""
     from dataclasses import replace
 
     from repro.inject import run_injection
@@ -124,23 +122,16 @@ def _assert_fork_equivalence(spec) -> None:
             replace(s, fork=False), workers=1, checkpoint=False
         )
         for interval in (s.checkpoint_interval, 97):
-            variants = {
-                "grouped": replace(s, checkpoint_interval=interval),
-                "ungrouped": replace(
-                    s, grouped=False, checkpoint_interval=interval
-                ),
-                "unscanned": replace(
-                    s, first_effect=False, checkpoint_interval=interval
-                ),
-            }
-            for variant, vs in variants.items():
-                forked = run_injection(vs, workers=1, checkpoint=False)
-                if forked != scratch:
-                    raise AssertionError(
-                        f"{variant} InjectionStats (checkpoint "
-                        f"interval {interval}) differ from "
-                        f"from-scratch on the {name} core"
-                    )
+            forked = run_injection(
+                replace(s, checkpoint_interval=interval), workers=1,
+                checkpoint=False,
+            )
+            if forked != scratch:
+                raise AssertionError(
+                    f"forked InjectionStats (checkpoint interval "
+                    f"{interval}) differ from from-scratch on the "
+                    f"{name} core"
+                )
 
 
 def _measure_suffix_replay(spec, workers: int) -> dict:
@@ -204,14 +195,12 @@ def _measure_suffix_replay(spec, workers: int) -> dict:
 
 
 def _measure_grouped_replay(spec, workers: int) -> dict:
-    """PR 6 forked baseline vs checkpoint-grouped replay + scan.
+    """Checkpoint-grouped replay + scan at a finer checkpoint interval.
 
-    Both legs run the full masking campaign end-to-end — golden
-    simulation, first-effect scan, and every faulty replay inside the
-    timed region.  The baseline reproduces PR 6 behavior exactly
-    (ungrouped per-fault forking, no scan, the coarse default
-    interval); the contender is this PR's default strategy at a finer
-    checkpoint interval.  Gated at a 2x wall-clock speedup.
+    Runs the full masking campaign end to end — golden simulation,
+    first-effect scan, and every faulty replay inside the timed region —
+    and records wall clock, the warm-core reuse and scan-skip counters,
+    and the snapshot arena footprint, which must compress.
     """
     from dataclasses import replace
 
@@ -220,82 +209,38 @@ def _measure_grouped_replay(spec, workers: int) -> dict:
     from repro.telemetry import TELEMETRY
 
     fine = 48
-    specs = _masking_specs(spec)
-    baseline = {
-        name: replace(
-            s, grouped=False, first_effect=False, checkpoint_interval=128
-        )
-        for name, s in specs.items()
-    }
-    contender = {
-        name: replace(s, checkpoint_interval=fine)
-        for name, s in specs.items()
-    }
+    arena = {}
     TELEMETRY.enable()
     try:
-        with TELEMETRY.collect() as m_base:
-            t0 = time.perf_counter()
-            base_stats = {}
-            for name, s in baseline.items():
-                clear_contexts()
-                base_stats[name] = run_injection(
-                    s, workers=workers, checkpoint=False
-                )
-            base_wall = time.perf_counter() - t0
-        arena = {}
         with TELEMETRY.collect() as m_grp:
             t0 = time.perf_counter()
-            grp_stats = {}
-            for name, s in contender.items():
+            for name, s in _masking_specs(spec).items():
+                s = replace(s, checkpoint_interval=fine)
                 clear_contexts()
-                grp_stats[name] = run_injection(
-                    s, workers=workers, checkpoint=False
-                )
+                run_injection(s, workers=workers, checkpoint=False)
                 golden, _faults = prepare_injection(s)  # cached
                 arena[name] = golden.arena.stats()
             grp_wall = time.perf_counter() - t0
     finally:
         TELEMETRY.disable()
         TELEMETRY.reset()
-    if grp_stats != base_stats:
-        raise AssertionError(
-            "grouped+scanned campaign stats differ from the PR 6 "
-            "baseline"
-        )
     for name, stats in arena.items():
         if stats["compressed_bytes"] >= stats["raw_bytes"]:
             raise AssertionError(
                 f"snapshot arena did not compress on the {name} core: "
                 f"{stats}"
             )
-    speedup = base_wall / grp_wall
-    if speedup < 2.0:
-        raise AssertionError(
-            f"grouped replay wall speedup {speedup:.2f}x over the PR 6 "
-            f"forked baseline is below the 2x gate"
-        )
     return {
-        "baseline": {
-            "strategy": "ungrouped fork, no first-effect scan (PR 6)",
-            "checkpoint_interval": 128,
-            "wall_seconds": round(base_wall, 4),
-        },
-        "grouped": {
-            "strategy": "checkpoint-grouped + sticky first-effect scan",
-            "checkpoint_interval": fine,
-            "wall_seconds": round(grp_wall, 4),
-            "restore_reuses": m_grp.counters.get(
-                "inject.restore_reuses", 0
-            ),
-            "scan_skips": m_grp.counters.get("inject.scan_skips", 0),
-            "scan_cycles": m_grp.counters.get("inject.scan_cycles", 0),
-        },
-        "wall_speedup": round(speedup, 2),
+        "strategy": "checkpoint-grouped + sticky first-effect scan",
+        "checkpoint_interval": fine,
+        "wall_seconds": round(grp_wall, 4),
+        "restore_reuses": m_grp.counters.get("inject.restore_reuses", 0),
+        "scan_skips": m_grp.counters.get("inject.scan_skips", 0),
+        "scan_cycles": m_grp.counters.get("inject.scan_cycles", 0),
         "arena": arena,
         "note": (
-            "end-to-end wall clock per leg: golden simulation, "
-            "first-effect scan, and all faulty replays included; "
-            "classifications bit-identical between legs"
+            "end-to-end wall clock: golden simulation, first-effect "
+            "scan, and all faulty replays included"
         ),
     }
 
@@ -412,8 +357,8 @@ def measure(n_faults: int = 128, workers: int = 4, seed: int = 0,
         "full_sdc_rate": round(full.rate("sdc"), 4),
         "masking": "100% masked in mapped-out blocks",
         "agreement": (
-            "bit-exact across workers/chunking/resume and grouped/"
-            "ungrouped/unscanned fork vs from-scratch"
+            "bit-exact across workers/chunking/resume and forked vs "
+            "from-scratch"
         ),
         "suffix_replay": suffix,
         "grouped_replay": grouped,
@@ -439,8 +384,7 @@ def check(workers: int = 2) -> None:
         f"degraded {deg.outcomes['masked']}/{deg.n} masked, "
         f"full core outcomes {full.outcomes}, "
         f"{workers}-worker/resume runs bit-identical to serial, "
-        f"grouped == ungrouped == unscanned == scratch at 2 "
-        f"checkpoint intervals, "
+        f"forked == scratch at 2 checkpoint intervals, "
         f"{suffix['cycles_simulated']['ratio']}x fewer simulated cycles "
         f"({suffix['early_exits']} early exits), "
         f"warm golden cache: {cache['warm_cache_hits']} hits / "

@@ -6,9 +6,10 @@ paper used:
 - :mod:`repro.atpg.faults` — the single stuck-at fault universe,
 - :mod:`repro.atpg.collapse` — structural equivalence collapsing,
 - :mod:`repro.atpg.podem` — deterministic test generation (reference
-  PODEM with a 5-valued D-calculus),
+  PODEM with a 5-valued D-calculus; the oracle tests and gates use),
 - :mod:`repro.atpg.podem_compiled` — event-driven PODEM on the compiled
-  netlist (undo trail, SCOAP guidance, X-path pruning; the default),
+  netlist (undo trail, SCOAP guidance, X-path pruning; the flow's
+  engine),
 - :mod:`repro.atpg.faultsim` — packed-pattern fault grading,
 - :mod:`repro.atpg.flow` — the combined random + deterministic flow that
   produces the scan vector set and its statistics (Table 3).

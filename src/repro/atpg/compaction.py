@@ -6,21 +6,20 @@ implements classic reverse-order compaction on full detection data: grade
 every (fault, pattern) pair once, then walk the patterns newest-to-oldest
 dropping any whose detected faults are all covered by the patterns kept.
 
-Detection data comes from either fault-simulation engine; the bit-packed
-``"word"`` backend (default) computes each fault's per-pattern detection
-vector directly from packed mismatch words.
+Detection data comes from the bit-packed fault simulator, which computes
+each fault's per-pattern detection vector directly from packed mismatch
+words.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.netlist.compiled import PackedWordSimulator, make_simulator
+from repro.netlist.compiled import PackedWordSimulator
 from repro.netlist.faults import StuckAt
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import PackedSimulator
 
 
 def detection_matrix(
@@ -28,44 +27,12 @@ def detection_matrix(
     faults: Sequence[StuckAt],
     patterns: np.ndarray,
     sim=None,
-    backend: str = "word",
 ) -> Dict[StuckAt, np.ndarray]:
     """Per-fault boolean vectors: which patterns detect the fault."""
     if sim is None:
-        sim = make_simulator(netlist, backend)
-    out: Dict[StuckAt, np.ndarray] = {}
-    if isinstance(sim, PackedWordSimulator):
-        values = sim.good_values(patterns)
-        for fault in faults:
-            out[fault] = sim.detection_vector(values, fault)
-        return out
-    good_vals = sim.good_values(patterns)
-    good_po, good_state = sim.capture(good_vals)
-    npat = patterns.shape[0]
-    for fault in faults:
-        vec = _detection_vector(
-            sim, good_vals, good_po, good_state, fault, npat
-        )
-        out[fault] = vec
-    return out
-
-
-def _detection_vector(sim, good_vals, good_po, good_state, fault, npat):
-    nl = sim.netlist
-    delta = sim.faulty_values(good_vals, fault)
-    mismatch = np.zeros(npat, dtype=bool)
-    if fault.flop is not None:
-        f = nl.flops[fault.flop]
-        return good_vals[f.d_net] != bool(fault.value)
-    po_index = sim.po_index
-    d_lookup = sim.d_lookup
-    for net, vals in delta.items():
-        col = po_index.get(net)
-        if col is not None:
-            mismatch |= vals != good_po[:, col]
-        for fid in d_lookup.get(net, []):
-            mismatch |= vals != good_state[:, fid]
-    return mismatch
+        sim = PackedWordSimulator(netlist)
+    values = sim.good_values(patterns)
+    return {fault: sim.detection_vector(values, fault) for fault in faults}
 
 
 def reverse_order_compaction(
@@ -73,7 +40,6 @@ def reverse_order_compaction(
     patterns: np.ndarray,
     faults: Sequence[StuckAt],
     sim=None,
-    backend: str = "word",
 ) -> np.ndarray:
     """Drop patterns whose detections are covered by the rest.
 
@@ -85,9 +51,7 @@ def reverse_order_compaction(
     """
     if patterns.shape[0] <= 1:
         return patterns
-    matrix = detection_matrix(
-        netlist, faults, patterns, sim=sim, backend=backend
-    )
+    matrix = detection_matrix(netlist, faults, patterns, sim=sim)
     detected = [f for f, vec in matrix.items() if vec.any()]
     if not detected:
         return patterns[:0]

@@ -13,11 +13,10 @@ The module exists to quantify that comparison (tests and
 ``benchmarks/bench_diagnosis.py``'s companion narrative), and doubles as a
 verification cross-check of the fault simulator.
 
-Signatures are produced by :meth:`ScanTester.failing_bits`, which on the
-default bit-packed ``"word"`` backend reads mismatching observation
-points straight off packed fault deltas — building a dictionary over
-thousands of faults rides entirely on that fast path (the tester caches
-the good response per pattern set).
+Signatures are produced by :meth:`ScanTester.failing_bits`, which reads
+mismatching observation points straight off packed fault deltas —
+building a dictionary over thousands of faults rides entirely on that
+fast path (the tester caches the good response per pattern set).
 """
 
 from __future__ import annotations

@@ -3,37 +3,32 @@
 Given a pattern set and a fault list, determine which faults each pattern
 detects.  The good circuit is simulated once; each fault re-simulates only
 its fanout cone, the optimization that keeps grading thousands of faults
-tractable.  Two engines are available (see
-:func:`repro.netlist.compiled.make_simulator`):
-
-- ``"word"`` (default) — the bit-packed 64-patterns-per-word
-  :class:`~repro.netlist.compiled.PackedWordSimulator`, with fault-effect
-  death pruning in the cone walk;
-- ``"legacy"`` — the dict-of-bool-arrays
-  :class:`~repro.netlist.simulate.PackedSimulator` reference.
+tractable.  The engine is the bit-packed 64-patterns-per-word
+:class:`~repro.netlist.compiled.PackedWordSimulator`, with fault-effect
+death pruning in the cone walk.  Tests and gates pass the reference
+:class:`~repro.netlist.simulate.PackedSimulator` through ``sim=`` to grade
+with the oracle instead; both expose ``good_values`` and
+``first_detection``.
 
 Fault *dropping* lives in the callers (the ATPG flow and random phase):
 once a fault is detected it leaves the active list, so later pattern
 batches never re-simulate it.  The deterministic phase batches up to
-``drop_batch`` PODEM patterns per :func:`grade_faults` call so each drop
-pass fills whole 64-bit packed words instead of grading 1-row matrices.
+:data:`~repro.atpg.flow.DROP_BATCH` PODEM patterns per
+:func:`grade_faults` call so each drop pass fills whole 64-bit packed
+words instead of grading 1-row matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.netlist.compiled import PackedWordSimulator, make_simulator
+from repro.netlist.compiled import PackedWordSimulator
 from repro.netlist.faults import StuckAt
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import PackedSimulator
 from repro.telemetry import TELEMETRY
-
-#: Either fault-simulation engine; both expose the same surface.
-AnySimulator = Union[PackedSimulator, PackedWordSimulator]
 
 
 @dataclass
@@ -54,8 +49,7 @@ def grade_faults(
     netlist: Netlist,
     faults: Sequence[StuckAt],
     patterns: np.ndarray,
-    sim: Optional[AnySimulator] = None,
-    backend: str = "word",
+    sim=None,
 ) -> FaultGrade:
     """Grade ``faults`` against ``patterns``.
 
@@ -63,37 +57,24 @@ def grade_faults(
         netlist: the design under test.
         faults: fault list to grade.
         patterns: (P, n_sources) bool matrix over PIs + scan bits.
-        sim: optional pre-built simulator (reuses its cone cache); when
-            given, it decides the engine and ``backend`` is ignored.
-        backend: ``"word"`` (bit-packed, default) or ``"legacy"``.
+        sim: optional pre-built simulator (reuses its cone cache);
+            defaults to a new :class:`PackedWordSimulator`.
 
     Returns:
         A :class:`FaultGrade`; ``detected[f]`` holds the index of the first
         detecting pattern.
     """
     if sim is None:
-        sim = make_simulator(netlist, backend)
+        sim = PackedWordSimulator(netlist)
     grade = FaultGrade(n_faults=len(faults))
     with TELEMETRY.span("faultsim/grade"):
-        if isinstance(sim, PackedWordSimulator):
-            values = sim.good_values(patterns)
-            for fault in faults:
-                first = sim.first_detection(values, fault)
-                if first is None:
-                    grade.undetected.append(fault)
-                else:
-                    grade.detected[fault] = first
-        else:
-            good_vals = sim.good_values(patterns)
-            good_po, good_state = sim.capture(good_vals)
-            for fault in faults:
-                first = _first_detection(
-                    sim, good_vals, good_po, good_state, fault
-                )
-                if first is None:
-                    grade.undetected.append(fault)
-                else:
-                    grade.detected[fault] = first
+        values = sim.good_values(patterns)
+        for fault in faults:
+            first = sim.first_detection(values, fault)
+            if first is None:
+                grade.undetected.append(fault)
+            else:
+                grade.detected[fault] = first
     t = TELEMETRY
     if t.enabled:
         t.count("faultsim.grade_calls")
@@ -102,44 +83,3 @@ def grade_faults(
         t.count("faultsim.patterns", int(patterns.shape[0]))
     return grade
 
-
-def _first_detection(
-    sim: PackedSimulator,
-    good_vals: Dict[int, np.ndarray],
-    good_po: np.ndarray,
-    good_state: np.ndarray,
-    fault: StuckAt,
-) -> Optional[int]:
-    """Index of the first pattern detecting ``fault``, or None."""
-    nl = sim.netlist
-    delta = sim.faulty_values(good_vals, fault)
-    mismatch: Optional[np.ndarray] = None
-
-    def add(diff: np.ndarray) -> None:
-        nonlocal mismatch
-        mismatch = diff if mismatch is None else (mismatch | diff)
-
-    if fault.flop is not None:
-        # D-pin fault: the captured bit differs wherever the good D value
-        # is the opposite of the stuck value.
-        f = nl.flops[fault.flop]
-        good_bit = good_vals[f.d_net]
-        add(good_bit != bool(fault.value))
-    else:
-        # Compare only observation points inside the changed cone; the
-        # observation maps are memoized on the simulator.
-        po_index = sim.po_index
-        d_lookup = sim.d_lookup
-        for net, vals in delta.items():
-            col = po_index.get(net)
-            if col is not None:
-                add(vals != good_po[:, col])
-        for net, vals in delta.items():
-            for fid in d_lookup.get(net, []):
-                add(vals != good_state[:, fid])
-        # A stem fault on a net that itself is a PO / flop D observation
-        # point (no gate in between) is caught because faulty_values seeds
-        # delta[fault.net] for stem faults.
-    if mismatch is None or not mismatch.any():
-        return None
-    return int(np.argmax(mismatch))

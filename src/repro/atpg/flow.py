@@ -17,12 +17,17 @@ import numpy as np
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import full_fault_universe
 from repro.atpg.faultsim import grade_faults
-from repro.netlist.compiled import make_simulator
+from repro.atpg.podem_compiled import CompiledPodem
+from repro.netlist.compiled import PackedWordSimulator
 from repro.netlist.faults import StuckAt
 from repro.netlist.netlist import Netlist
-from repro.atpg.podem import Podem
-from repro.atpg.podem_compiled import CompiledPodem
 from repro.telemetry import TELEMETRY
+
+#: Deterministic-phase patterns accumulated before each fault-dropping
+#: :func:`grade_faults` call: one whole 64-bit packed word per drop pass
+#: instead of a 1-row matrix per pattern.  Batching can change which
+#: faults PODEM targets, never which faults the final set covers.
+DROP_BATCH = 64
 
 
 @dataclass
@@ -30,7 +35,7 @@ class AtpgResult:
     """Output of :func:`run_atpg`.
 
     ``patterns`` rows are full source assignments (PIs + scan bits) in the
-    simulator's ``source_col`` column order (identical across backends).
+    simulator's ``source_col`` column order.
     """
 
     patterns: np.ndarray
@@ -70,8 +75,6 @@ def run_atpg(
     backtrack_limit: int = 512,
     max_deterministic: Optional[int] = None,
     compact: bool = True,
-    backend: str = "word",
-    drop_batch: int = 64,
 ) -> AtpgResult:
     """Generate a compact scan vector set for ``netlist``.
 
@@ -87,25 +90,16 @@ def run_atpg(
             the cap count as aborted); None means no cap.
         compact: run reverse-order static compaction on the final set
             (coverage-preserving; production flows always do).
-        backend: engine pair — ``"word"`` (bit-packed fault simulation +
-            compiled event-driven PODEM, default) or ``"legacy"``
-            (reference simulator + reference PODEM).
-        drop_batch: deterministic-phase patterns accumulated before each
-            fault-dropping ``grade_faults`` call (fills whole 64-bit
-            packed words instead of grading 1-row matrices).  ``1``
-            reproduces per-pattern dropping exactly.
 
     Returns:
         An :class:`AtpgResult` with the kept patterns and statistics.
     """
-    if drop_batch < 1:
-        raise ValueError(f"drop_batch must be >= 1, got {drop_batch}")
     rng = np.random.default_rng(seed)
     universe = full_fault_universe(netlist)
     targets = list(faults) if faults is not None else collapse_faults(
         netlist, universe
     )
-    sim = make_simulator(netlist, backend)
+    sim = PackedWordSimulator(netlist)
     n_src = sim.n_sources
     remaining: List[StuckAt] = list(targets)
     kept_rows: List[np.ndarray] = []
@@ -128,20 +122,15 @@ def run_atpg(
     n_random_detected = n_detected
 
     # ---- Deterministic phase ------------------------------------------
-    if backend == "legacy":
-        podem = Podem(netlist, backtrack_limit=backtrack_limit)
-    else:
-        podem = CompiledPodem(
-            netlist,
-            backtrack_limit=backtrack_limit,
-            compiled=getattr(sim, "compiled", None),
-        )
+    podem = CompiledPodem(
+        netlist, backtrack_limit=backtrack_limit, compiled=sim.compiled
+    )
     n_untestable = 0
     n_aborted = 0
     n_targeted = 0
     # Cursor bookkeeping: ``idx`` walks ``remaining`` in place (no
     # per-fault list copies); detected-target patterns accumulate in
-    # ``pending`` and are graded ``drop_batch`` at a time so dropping
+    # ``pending`` and are graded ``DROP_BATCH`` at a time so dropping
     # fills whole packed words.
     idx = 0
     pending_rows: List[np.ndarray] = []
@@ -200,7 +189,7 @@ def run_atpg(
             pending_rows.append(row)
             pending_targets.append(fault)
             idx += 1
-            if len(pending_rows) >= drop_batch:
+            if len(pending_rows) >= DROP_BATCH:
                 _flush()
         _flush()
 

@@ -3,8 +3,11 @@
 A textbook PODEM (Goel) over the combinational full-scan test model:
 decisions are made only on sources (primary inputs and scan bits), each
 decision is followed by a 3-valued good/faulty forward implication, and the
-search backtracks on a dead D-frontier.  This is the deterministic half of
-the ATPG flow; random patterns (cheap) run first in :mod:`repro.atpg.flow`.
+search backtracks on a dead D-frontier.  It is the reference oracle for
+the event-driven :class:`~repro.atpg.podem_compiled.CompiledPodem` the
+ATPG flow (:mod:`repro.atpg.flow`) runs: tests and the ATPG gate check
+per-fault verdict equivalence against it and use its untestability
+proofs to check the flow's redundancy identification.
 
 Implementation notes: net values live in flat lists indexed by net id and
 the D-frontier is collected during the forward implication pass, which is

@@ -190,8 +190,9 @@ def compute_scoap(compiled: CompiledNetlist) -> Scoap:
 class CompiledPodem:
     """PODEM test generator on the compiled (SoA) netlist form.
 
-    Drop-in replacement for :class:`~repro.atpg.podem.Podem`: same
-    ``generate(fault) -> PodemResult`` surface, same verdict semantics.
+    The ATPG flow's engine; same ``generate(fault) -> PodemResult``
+    surface and verdict semantics as the reference
+    :class:`~repro.atpg.podem.Podem` oracle.
     Pass a prebuilt ``compiled`` netlist (e.g. the fault simulator's) to
     share levelization and SCOAP precomputation with the grading engine.
     """

@@ -68,7 +68,7 @@ def _cmd_isolate(args: argparse.Namespace) -> int:
           f"model ({'tiny' if args.tiny else 'default'} size)...")
     model = builder(params)
     print(f"  {model.netlist.stats()}")
-    setup = generate_tests(model, seed=args.seed, backend=args.backend)
+    setup = generate_tests(model, seed=args.seed)
     print(f"  ATPG: {setup.atpg.summary()}")
     stats = isolation_experiment(setup, n_faults=args.faults, seed=args.seed)
     print(stats.summary())
@@ -318,7 +318,6 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         exemplar_cap=args.exemplars,
         sampling=args.sampling,
         profile_stride=args.profile_stride,
-        grouped=not args.no_group,
         snapshot_budget=args.snapshot_budget,
         golden_cache=args.golden_cache,
     )
@@ -561,10 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the small model (fast)")
     p.add_argument("--baseline", action="store_true",
                    help="run on the non-ICI baseline instead")
-    p.add_argument("--backend", choices=("word", "legacy"), default="word",
-                   help="ATPG/fault-sim engine pair: bit-packed simulator "
-                        "+ compiled PODEM (word, default) or the reference "
-                        "implementations (legacy)")
     add_trace_flag(p)
     p.set_defaults(func=_cmd_isolate)
 
@@ -698,10 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the from-scratch reference path instead of "
                         "checkpointed suffix replay (same classifications, "
                         "more simulated cycles)")
-    p.add_argument("--no-group", action="store_true",
-                   help="restore a fresh core for every fault instead of "
-                        "reusing one warm core per checkpoint group "
-                        "(same classifications, more restore work)")
     p.add_argument("--snapshot-budget", type=int, default=0,
                    help="hard ceiling in bytes on the compressed snapshot "
                         "arena; over budget, every other checkpoint is "

@@ -58,20 +58,45 @@ class InjectionSpec:
     # profiled during the golden run).
     sampling: str = "uniform"
     profile_stride: int = 16
-    # Checkpoint-grouped warm-core replay: shard faults sharing a fork
-    # checkpoint run on one restored core (O(dirty) rearm between
-    # faults).  Results are bit-identical with grouping on or off.
+    # Retired replay switches, kept because ``asdict(spec)`` keys the
+    # checkpoint store, service job ids and recorded digests; ``True`` is
+    # the only legal value of each (see ``__post_init__``).
     grouped: bool = True
     # Compressed-byte ceiling on the golden snapshot arena (0 = none).
     snapshot_budget: int = 0
     # Persistent golden-prefix cache under REPRO_CACHE_DIR: warm
     # campaigns skip golden simulation entirely.
     golden_cache: bool = False
-    # Sticky-fault first-effect scan: one extra golden-trajectory replay
-    # licenses checkpoint forking (or a zero-cost masked verdict) for
-    # cycle-0 stuck-ats.  Results are bit-identical with it on or off;
-    # False restores the PR 6 replay-from-scratch behavior.
     first_effect: bool = True
+
+    def __post_init__(self) -> None:
+        for name, what in (
+            ("grouped", "per-fault forking without warm-core groups"),
+            ("first_effect", "forking without the first-effect scan"),
+        ):
+            if getattr(self, name) is not True:
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r} selected {what}, a "
+                    f"retired replay strategy; fork=False is the "
+                    f"from-scratch reference"
+                )
+        if self.model not in ("transient", "stuckat", "both"):
+            raise ValueError(f"unknown fault model {self.model!r}")
+        if self.sampling not in ("uniform", "weighted"):
+            raise ValueError(f"unknown sampling mode {self.sampling!r}")
+        if self.n_faults < 1:
+            raise ValueError("n_faults must be >= 1")
+        if self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be >= 0")
+        if len(self.counts) != len(DIMENSIONS) or any(
+            c not in (1, 2) for c in self.counts
+        ):
+            raise ValueError(
+                f"counts must be {len(DIMENSIONS)} values in {{1, 2}} "
+                f"({', '.join(DIMENSIONS)}), got {self.counts!r}"
+            )
 
 
 @dataclass
@@ -307,7 +332,7 @@ class InjectionCampaign(Campaign):
             golden.cycles, mode=spec.sampling, profile=golden.profile,
         )
         first_effect: Dict[int, object] = {}
-        if spec.fork and spec.first_effect:
+        if spec.fork:
             from repro.inject.harness import first_effect_scan
 
             skey = None
@@ -341,19 +366,21 @@ class InjectionCampaign(Campaign):
         activation cycle, sticky faults at the checkpoint licensed by the
         first-effect scan — or are synthesized outright
         (:func:`~repro.inject.harness.synth_never_result`) when the scan
-        proved their forcing never bites.  With ``spec.grouped`` the
-        shard's remaining faults are grouped by fork checkpoint — a stable
-        sort, so original order is preserved within each group — and every
-        multi-fault group runs on one warm
+        proved their forcing never bites.  The remaining faults run in
+        fork-index order (a stable sort, so original order is kept within
+        each checkpoint): a fault with no checkpoint, or alone at its
+        checkpoint, takes a plain :func:`~repro.inject.harness.run_with_fault`
+        (``fork=spec.fork``); every multi-fault group runs on one warm
         :class:`~repro.inject.harness.ReplaySession` core, re-armed in
-        place between faults (singleton groups take a plain restore and
-        skip the dirty-tracking overhead).  Results are then folded into
-        the stats in the original fault order, so shard payloads (records,
-        exemplars, per-block counts) are bit-identical to the ungrouped
-        path for any worker count or chunking.  The grouping telemetry
-        (``inject.restore_reuses`` / ``inject.group_sizes``) is a
-        scheduling metric: it depends on how faults land in shards and is
-        *not* part of the worker-count-invariant deterministic view.
+        place between faults.  With ``fork=False`` every index is None,
+        so the from-scratch reference runs through the same loop.
+        Results fold into the stats in the original fault order, so
+        shard payloads (records, exemplars, per-block counts) are
+        bit-identical for any worker count, chunking or fork setting.
+        The grouping telemetry (``inject.restore_reuses`` /
+        ``inject.group_sizes``) is a scheduling metric: it depends on how
+        faults land in shards and is *not* part of the
+        worker-count-invariant deterministic view.
         """
         from repro.inject.harness import (
             ReplaySession, run_with_fault, synth_never_result,
@@ -369,78 +396,54 @@ class InjectionCampaign(Campaign):
         )
         t = TELEMETRY
         results: List = [None] * len(faults)
-        # Per-fault fork plan (identical for the grouped and ungrouped
-        # paths, so their per-fault telemetry merges to the same values):
-        # fork_idx = arena index (None: from cycle 0), prearm = sticky
-        # arming bookkeeping to restore on the forked core, or a
-        # synthesized masked verdict for never-biting sticky faults.
+        # Per-fault fork plan: fork_idx = arena index (None: from cycle
+        # 0), prearm = sticky arming bookkeeping to restore on the forked
+        # core, or a synthesized masked verdict for never-biting sticky
+        # faults.
         fork_idx: List[Optional[int]] = [None] * len(faults)
         prearm: List[Optional[tuple]] = [None] * len(faults)
-        synth = [False] * len(faults)
-        if spec.fork:
-            for i, fault in enumerate(faults):
-                fe = scan.get(start + i)
-                if fe is None:
+        todo: List[int] = []
+        for i, fault in enumerate(faults):
+            fe = scan.get(start + i)
+            if fe is None:
+                if spec.fork:
                     fork_idx[i] = golden.fork_index(fault.cycle)
-                elif fe.first is None:
-                    synth[i] = True
-                    results[i] = synth_never_result(golden, fe)
-                    if t.enabled:
-                        t.count("inject.scan_skips")
-                        t.count("inject.cycles_saved", golden.cycles)
-                else:
-                    k = golden.fork_index(fe.first)
-                    fork_idx[i] = k
-                    if k is not None:
-                        prearm[i] = fe.prearm(golden.arena.cycle_of(k))
-        grouped = (
-            spec.grouped
-            and spec.fork
-            and golden.arena is not None
-            and len(golden.arena) > 0
-        )
-        if grouped:
-            todo = [i for i in range(len(faults)) if not synth[i]]
-            order = sorted(
-                todo,
-                key=lambda i: -1 if fork_idx[i] is None else fork_idx[i],
-            )
-            group_n = {
-                k: sum(1 for i in todo if fork_idx[i] == k)
-                for k in set(fork_idx[i] for i in todo)
-            }
-            if t.enabled:
-                for k, n in sorted(
-                    group_n.items(), key=lambda kv: (kv[0] is None, kv[0])
-                ):
-                    if k is not None:
-                        t.observe("inject.group_sizes", n)
-            session: Optional[ReplaySession] = None
-            for i in order:
-                fault = faults[i]
-                k = fork_idx[i]
-                with t.span("inject.run"):
-                    if k is None or group_n[k] == 1:
-                        # No checkpoint (plain from-cycle-0 run) or a
-                        # singleton group: a one-shot restore without
-                        # dirty-tracking overhead beats a session.
-                        results[i] = run_with_fault(
-                            golden, fault, fork=True,
-                            fork_index=k, prearm=prearm[i],
-                        )
-                    else:
-                        if session is None or session.index != k:
-                            session = ReplaySession(golden, k)
-                        results[i] = session.run(fault, prearm=prearm[i])
-        else:
-            for i, fault in enumerate(faults):
-                if synth[i]:
-                    continue
-                with t.span("inject.run"):
+            elif fe.first is None:
+                results[i] = synth_never_result(golden, fe)
+                if t.enabled:
+                    t.count("inject.scan_skips")
+                    t.count("inject.cycles_saved", golden.cycles)
+                continue
+            else:
+                k = golden.fork_index(fe.first)
+                fork_idx[i] = k
+                if k is not None:
+                    prearm[i] = fe.prearm(golden.arena.cycle_of(k))
+            todo.append(i)
+        group_n: Dict[Optional[int], int] = {}
+        for i in todo:
+            group_n[fork_idx[i]] = group_n.get(fork_idx[i], 0) + 1
+        if t.enabled:
+            for k in sorted(k for k in group_n if k is not None):
+                t.observe("inject.group_sizes", group_n[k])
+        session: Optional[ReplaySession] = None
+        for i in sorted(
+            todo, key=lambda j: -1 if fork_idx[j] is None else fork_idx[j]
+        ):
+            k = fork_idx[i]
+            with t.span("inject.run"):
+                if k is None or group_n[k] == 1:
+                    # No checkpoint (a from-cycle-0 run) or a singleton
+                    # group: a one-shot restore without dirty-tracking
+                    # overhead beats a session.
                     results[i] = run_with_fault(
-                        golden, fault, fork=spec.fork,
-                        fork_index=fork_idx[i], prearm=prearm[i],
+                        golden, faults[i], fork=spec.fork,
+                        fork_index=k, prearm=prearm[i],
                     )
+                else:
+                    if session is None or session.index != k:
+                        session = ReplaySession(golden, k)
+                    results[i] = session.run(faults[i], prearm=prearm[i])
         for fault, result in zip(faults, results):
             stats.add(fault, result)
             if t.enabled:

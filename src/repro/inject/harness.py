@@ -169,29 +169,11 @@ class GoldenRun:
         default_factory=dict, repr=False, compare=False
     )
 
-    @property
-    def checkpoints(self) -> List[Tuple[int, dict]]:
-        """All ``(cycle, snapshot)`` pairs, decoded (compat accessor).
-
-        Decodes the whole arena — prefer indexed access through
-        :attr:`arena` in hot paths.
-        """
-        if self.arena is None:
-            return []
-        return list(self.arena.items())
-
     def fork_index(self, cycle: int) -> Optional[int]:
         """Arena index of the newest checkpoint at or before ``cycle``."""
         if self.arena is None or not len(self.arena):
             return None
         return self.arena.find(cycle)
-
-    def fork_point(self, cycle: int) -> Optional[Tuple[int, dict]]:
-        """Newest checkpoint at or before ``cycle`` (None: run from 0)."""
-        i = self.fork_index(cycle)
-        if i is None:
-            return None
-        return self.arena.cycle_of(i), self.arena.get(i)
 
 
 @dataclass

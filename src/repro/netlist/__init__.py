@@ -7,7 +7,8 @@ used (Synopsys Design Compiler over a Verilog model).  It provides:
 - :mod:`repro.netlist.netlist` — the :class:`Netlist` container with
   levelization, fanout maps, and cone queries,
 - :mod:`repro.netlist.simulate` — scalar and numpy parallel-pattern
-  simulation with stuck-at fault overrides (the reference engines),
+  simulation with stuck-at fault overrides (the reference oracles tests
+  and gates check the compiled engine against),
 - :mod:`repro.netlist.compiled` — the levelized structure-of-arrays
   netlist form and the bit-packed 64-patterns-per-word fault-simulation
   engine the ATPG/diagnosis stack runs on,
@@ -18,11 +19,7 @@ used (Synopsys Design Compiler over a Verilog model).  It provides:
 from repro.netlist.gates import Flop, Gate, GateType
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.netlist.simulate import PackedSimulator, Simulator
-from repro.netlist.compiled import (
-    CompiledNetlist,
-    PackedWordSimulator,
-    make_simulator,
-)
+from repro.netlist.compiled import CompiledNetlist, PackedWordSimulator
 from repro.netlist.build import NetBuilder
 
 __all__ = [
@@ -36,5 +33,4 @@ __all__ = [
     "PackedSimulator",
     "PackedWordSimulator",
     "Simulator",
-    "make_simulator",
 ]

@@ -19,12 +19,13 @@ the good circuit.  Fault dropping happens one level up — a fault leaves
 the active list at its first detection (see :mod:`repro.atpg.faultsim`
 and the ATPG flow), so later patterns never pay for it again.
 
-The legacy dict-of-bool-arrays :class:`~repro.netlist.simulate.PackedSimulator`
-is kept as a reference/fallback; :func:`make_simulator` selects a backend
-by name, and both engines expose the same ``good_values`` /
-``faulty_values`` / ``capture`` / ``source_col`` surface so consumers are
-backend-agnostic.  ``benchmarks/bench_faultsim.py`` measures both and
-asserts they agree bit-for-bit.
+The dict-of-bool-arrays :class:`~repro.netlist.simulate.PackedSimulator`
+is the reference oracle, used only by tests and gates: it exposes the same
+``good_values`` / ``faulty_values`` / ``capture`` / ``source_col`` /
+``first_detection`` / ``detection_vector`` surface, so gates hand it to
+the graders through their ``sim=`` argument.
+``benchmarks/bench_faultsim.py --check`` asserts the two agree
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -302,13 +303,13 @@ class WordValues:
 class PackedWordSimulator:
     """Levelized bit-packed simulator (64 patterns per uint64 word).
 
-    Drop-in backend for :class:`~repro.netlist.simulate.PackedSimulator`:
-    same constructor, same ``good_values`` / ``faulty_values`` /
-    ``capture`` / ``source_col`` surface — only the value containers
-    differ (:class:`WordValues` and sparse int deltas instead of dicts of
-    bool arrays).  Extra fast paths (:meth:`first_detection`,
-    :meth:`detection_vector`, :meth:`failing_observations`) let the fault
-    grader and scan tester skip unpacking entirely.
+    Same constructor and surface as the reference
+    :class:`~repro.netlist.simulate.PackedSimulator` — only the value
+    containers differ (:class:`WordValues` and sparse int deltas instead
+    of dicts of bool arrays).  The detection queries
+    (:meth:`first_detection`, :meth:`detection_vector`,
+    :meth:`failing_observations`) read packed mismatch words, so the
+    fault grader and scan tester never unpack.
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -521,28 +522,3 @@ class PackedWordSimulator:
             pos.update(c.po_cols.get(net, ()))
         return fids, pos
 
-
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-#: Recognized fault-simulation backends.
-BACKENDS = ("word", "legacy")
-
-
-def make_simulator(netlist: Netlist, backend: str = "word"):
-    """Build a fault-simulation engine by backend name.
-
-    ``"word"`` is the bit-packed :class:`PackedWordSimulator` (default);
-    ``"legacy"`` the dict-of-bool-arrays
-    :class:`~repro.netlist.simulate.PackedSimulator` reference.
-    """
-    if backend == "word":
-        return PackedWordSimulator(netlist)
-    if backend == "legacy":
-        from repro.netlist.simulate import PackedSimulator
-
-        return PackedSimulator(netlist)
-    raise ValueError(
-        f"unknown fault-simulation backend {backend!r}; "
-        f"expected one of {BACKENDS}"
-    )

@@ -8,8 +8,11 @@ scan-out.
 
 The :class:`PackedSimulator` evaluates many patterns at once along a numpy
 axis — the Python-level analogue of classic parallel-pattern fault
-simulation — and supports *cone-restricted* faulty re-simulation so that
-grading thousands of faults (the paper's 6000-fault experiment) stays fast.
+simulation — with *cone-restricted* faulty re-simulation.  Production
+grading runs on the bit-packed
+:class:`~repro.netlist.compiled.PackedWordSimulator`; this simulator is
+the oracle tests and gates check it against, through the graders'
+``sim=`` argument.
 """
 
 from __future__ import annotations
@@ -178,38 +181,11 @@ class PackedSimulator:
         self.source_nets = netlist.source_nets()
         self.source_col = {net: i for i, net in enumerate(self.source_nets)}
         self._cone_cache: Dict[int, List[int]] = {}
-        self._d_lookup: Optional[Dict[int, List[int]]] = None
-        self._po_index: Optional[Dict[int, int]] = None
 
     @property
     def n_sources(self) -> int:
         """Number of pattern columns (primary inputs + flop state bits)."""
         return len(self.source_nets)
-
-    @property
-    def d_lookup(self) -> Dict[int, List[int]]:
-        """Net -> flop fids capturing it, built once per simulator.
-
-        Fault grading compares every changed cone net against the
-        observation points; building this map per fault would cost
-        O(faults x flops), so it is memoized here.
-        """
-        if self._d_lookup is None:
-            lut: Dict[int, List[int]] = {}
-            for f in self.netlist.flops:
-                lut.setdefault(f.d_net, []).append(f.fid)
-            self._d_lookup = lut
-        return self._d_lookup
-
-    @property
-    def po_index(self) -> Dict[int, int]:
-        """Net -> primary-output column, built once per simulator."""
-        if self._po_index is None:
-            self._po_index = {
-                net: i
-                for i, net in enumerate(self.netlist.primary_outputs)
-            }
-        return self._po_index
 
     def good_values(self, patterns: np.ndarray) -> Dict[int, np.ndarray]:
         """Evaluate all nets for a (P, n_sources) bool pattern matrix."""
@@ -280,11 +256,6 @@ class PackedSimulator:
                 ins = list(ins)
                 ins[fault.pin] = const
             delta[g.output] = _eval_gate_packed(g.gtype, ins)
-        if fault.gate is not None:
-            # Branch fault: the faulted gate may not be in cone of fault.net
-            # restricted to stem (it is, since cone starts at fault.net and
-            # the gate reads it); nothing extra needed.
-            pass
         return delta
 
     def capture(
@@ -324,3 +295,22 @@ class PackedSimulator:
         else:
             state = np.zeros((npat, 0), dtype=bool)
         return po, state
+
+    def detection_vector(
+        self, values: Dict[int, np.ndarray], fault: StuckAt
+    ) -> np.ndarray:
+        """(P,) bool: patterns whose faulty capture differs from the good."""
+        good_po, good_state = self.capture(values)
+        bad_po, bad_state = self.capture(
+            values, fault=fault, delta=self.faulty_values(values, fault)
+        )
+        return (good_po != bad_po).any(axis=1) | (
+            good_state != bad_state
+        ).any(axis=1)
+
+    def first_detection(
+        self, values: Dict[int, np.ndarray], fault: StuckAt
+    ) -> Optional[int]:
+        """Index of the first pattern detecting ``fault``, or None."""
+        vec = self.detection_vector(values, fault)
+        return int(np.argmax(vec)) if vec.any() else None

@@ -52,8 +52,22 @@ class IsolationSpec:
     fault_seed: int = 1
     n_faults: int = 600
     max_deterministic: Optional[int] = None
+    # Part of the spec hash (checkpoint keys, job ids, recorded digests),
+    # so the field stays; the bit-packed engine is its only legal value.
     backend: str = "word"
     chunk_size: int = 50
+
+    def __post_init__(self) -> None:
+        if self.backend != "word":
+            raise ValueError(
+                f"backend {self.backend!r} is retired: the reference "
+                f"simulator and PODEM are test oracles now, and 'word' "
+                f"is the only engine"
+            )
+        if self.n_faults < 1:
+            raise ValueError("n_faults must be >= 1")
+        if self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
 
 
 class IsolationCampaign(Campaign):
@@ -74,7 +88,6 @@ class IsolationCampaign(Campaign):
             model,
             seed=spec.atpg_seed,
             max_deterministic=spec.max_deterministic,
-            backend=spec.backend,
         )
         faults = sample_isolation_faults(
             model.netlist, spec.n_faults, spec.fault_seed

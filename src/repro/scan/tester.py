@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.netlist.compiled import PackedWordSimulator, make_simulator
+from repro.netlist.compiled import PackedWordSimulator, WordValues
 from repro.netlist.faults import StuckAt
 from repro.netlist.netlist import Netlist
 from repro.scan.chain import ScanChain
@@ -51,12 +51,10 @@ class TestResponse:
 class ScanTester:
     """Applies packed scan tests and reports failing bits."""
 
-    def __init__(
-        self, netlist: Netlist, chain: ScanChain, backend: str = "word"
-    ) -> None:
+    def __init__(self, netlist: Netlist, chain: ScanChain) -> None:
         self.netlist = netlist
         self.chain = chain
-        self.sim = make_simulator(netlist, backend)
+        self.sim = PackedWordSimulator(netlist)
         # id(patterns) -> (pinned array, net values, gold response).
         self._good_cache: Dict[int, tuple] = {}
 
@@ -67,7 +65,7 @@ class ScanTester:
 
     def _good(
         self, patterns: np.ndarray
-    ) -> Tuple[Dict[int, np.ndarray], TestResponse]:
+    ) -> Tuple[WordValues, TestResponse]:
         key = id(patterns)
         cached = self._good_cache.get(key)
         if cached is not None:
@@ -86,27 +84,12 @@ class ScanTester:
                                   TestResponse(po=po, state=state))}
         return values, self._good_cache[key][2]
 
-    def faulty_response(
-        self, patterns: np.ndarray, fault: StuckAt
-    ) -> TestResponse:
-        """Response of the design carrying ``fault``."""
-        if TELEMETRY.enabled:
-            TELEMETRY.count("scan.faulty_responses")
-        values, _ = self._good(patterns)
-        delta = self.sim.faulty_values(values, fault)
-        po, state = self.sim.capture(values, fault=fault, delta=delta)
-        return TestResponse(po=po, state=state)
-
     def detecting_patterns(
         self, patterns: np.ndarray, fault: StuckAt
     ) -> np.ndarray:
         """(n_patterns,) bool: which patterns detect ``fault``."""
-        if isinstance(self.sim, PackedWordSimulator):
-            values, _ = self._good(patterns)
-            return self.sim.detection_vector(values, fault)
-        _, good = self._good(patterns)
-        bad = self.faulty_response(patterns, fault)
-        return good.mismatches(bad)
+        values, _ = self._good(patterns)
+        return self.sim.detection_vector(values, fault)
 
     def failing_bits(
         self, patterns: np.ndarray, fault: StuckAt
@@ -118,30 +101,14 @@ class ScanTester:
         """
         if TELEMETRY.enabled:
             TELEMETRY.count("scan.failing_bits_queries")
-        if isinstance(self.sim, PackedWordSimulator):
-            # Word-backend fast path: mismatching observation points come
-            # straight from the packed fault delta, no unpacking.
-            values, _ = self._good(patterns)
-            fids, po_cols = self.sim.failing_observations(values, fault)
-            return (
-                sorted(self.chain.bit_of_flop[fid] for fid in fids),
-                sorted(po_cols),
-            )
-        _, good = self._good(patterns)
-        bad = self.faulty_response(patterns, fault)
-        scan_bits: List[int] = []
-        if good.state.size:
-            flop_cols = np.where((good.state != bad.state).any(axis=0))[0]
-            scan_bits = sorted(
-                self.chain.bit_of_flop[int(fid)] for fid in flop_cols
-            )
-        po_idx: List[int] = []
-        if good.po.size:
-            po_idx = [
-                int(i)
-                for i in np.where((good.po != bad.po).any(axis=0))[0]
-            ]
-        return scan_bits, po_idx
+        # Mismatching observation points come straight from the packed
+        # fault delta, no unpacking.
+        values, _ = self._good(patterns)
+        fids, po_cols = self.sim.failing_observations(values, fault)
+        return (
+            sorted(self.chain.bit_of_flop[fid] for fid in fids),
+            sorted(po_cols),
+        )
 
     def test_cycles(self, n_vectors: int) -> int:
         """Tester cycle count for ``n_vectors`` (chain fill/drain overlap)."""

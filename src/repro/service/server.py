@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 import time
 from dataclasses import asdict
@@ -113,6 +114,8 @@ class CampaignService:
         self.max_retries = max_retries
         self.verbose = verbose
         self.faults = faults
+        #: Journal records dropped on replay (see :meth:`_replay_journal`).
+        self.journal_skipped = 0
         self._campaign_locks: Dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
         self._telemetry_lock = threading.Lock()
@@ -171,12 +174,18 @@ class CampaignService:
         unfinished submissions back onto the queue with resume-from-
         checkpoint semantics."""
         for job_id, rec in self.journal.replay().items():
-            entry = self.registry.get(rec.get("campaign", ""))
-            if entry is None:
-                continue  # journal from a newer/older registry; skip
             try:
+                entry = get_campaign(rec.get("campaign") or "")
                 spec = entry.make_spec(rec.get("params", {}))
-            except (TypeError, ValueError):
+            except (KeyError, TypeError, ValueError) as exc:
+                # A record this registry cannot rebuild (a removed
+                # campaign or a retired spec value): skip it, loudly.
+                self.journal_skipped += 1
+                print(
+                    f"journal: skipped job {job_id}: "
+                    f"{type(exc).__name__}: {exc}",
+                    file=sys.stderr,
+                )
                 continue
             job = Job(
                 id=job_id,
@@ -367,6 +376,7 @@ class CampaignService:
             "queued": self.queue.queued_count(),
             "queue_capacity": self.queue.capacity,
             "jobs": self.state_counts(),
+            "journal_skipped": self.journal_skipped,
         }
         return payload
 

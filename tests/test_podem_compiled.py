@@ -10,9 +10,9 @@ its target under the fault simulator.
 """
 
 import random as pyrandom
+from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg import (
@@ -24,10 +24,12 @@ from repro.atpg import (
     grade_faults,
     run_atpg,
 )
+from repro.atpg import flow
 from repro.atpg.podem_compiled import SCOAP_INF
 from repro.netlist import GateType, Netlist
-from repro.netlist.compiled import make_simulator
+from repro.netlist.compiled import PackedWordSimulator
 from repro.netlist.faults import StuckAt
+from repro.netlist.simulate import PackedSimulator
 from repro.telemetry import TELEMETRY
 
 _KINDS = [GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
@@ -75,7 +77,7 @@ class TestVerdictEquivalence:
         nl = _circuit(seed, 4, n_gates, n_flops)
         legacy = Podem(nl, backtrack_limit=5_000)
         compiled = CompiledPodem(nl, backtrack_limit=5_000)
-        sim = make_simulator(nl, "word")
+        sim = PackedWordSimulator(nl)
         for fault in collapse_faults(nl, full_fault_universe(nl))[:30]:
             r_legacy = legacy.generate(fault)
             r_compiled = compiled.generate(fault)
@@ -95,37 +97,47 @@ class TestVerdictEquivalence:
                     f"pattern under fill={fill}"
                 )
 
-    @given(seed=st.integers(0, 5000), n_gates=st.integers(4, 30))
-    @settings(max_examples=10, deadline=None)
-    def test_run_atpg_statistics_match_across_backends(self, seed, n_gates):
-        nl = _circuit(seed, 5, n_gates)
-        word = run_atpg(nl, seed=3, backtrack_limit=5_000, backend="word")
-        legacy = run_atpg(
-            nl, seed=3, backtrack_limit=5_000, backend="legacy"
-        )
-        assert word.n_aborted == 0 and legacy.n_aborted == 0
-        assert word.n_detected == legacy.n_detected
-        assert word.n_untestable == legacy.n_untestable
-        assert word.n_collapsed_faults == legacy.n_collapsed_faults
-        assert word.coverage == legacy.coverage
-        # Both backends' pattern sets must cover the same fault set.
+    @given(
+        seed=st.integers(0, 5000),
+        n_gates=st.integers(4, 40),
+        n_flops=st.integers(0, 3),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_run_atpg_statistics_match_across_backends(
+        self, seed, n_gates, n_flops
+    ):
+        """The flow's statistics, checked against the oracles: every
+        collapsed fault the reference PODEM proves untestable is reported
+        untestable, and the flow's (batch-dropped, compacted) patterns
+        detect every other one under the reference simulator."""
+        nl = _circuit(seed, 5, n_gates, n_flops)
+        result = run_atpg(nl, seed=7, backtrack_limit=5_000)
         targets = collapse_faults(nl, full_fault_universe(nl))
-        g_word = grade_faults(nl, targets, word.patterns)
-        g_legacy = grade_faults(nl, targets, legacy.patterns)
-        assert set(g_word.detected) == set(g_legacy.detected)
+        oracle = Podem(nl, backtrack_limit=5_000)
+        untestable = {
+            f for f in targets
+            if oracle.generate(f).status == "untestable"
+        }
+        assert result.n_aborted == 0
+        assert result.n_collapsed_faults == len(targets)
+        assert result.n_untestable == len(untestable)
+        assert result.n_detected == len(targets) - len(untestable)
+        grade = grade_faults(
+            nl, targets, result.patterns, sim=PackedSimulator(nl)
+        )
+        assert set(grade.detected) == set(targets) - untestable
 
 
 class TestBatchedDropping:
     @given(seed=st.integers(0, 3000), n_gates=st.integers(10, 40))
     @settings(max_examples=10, deadline=None)
     def test_batched_equals_per_pattern_dropping(self, seed, n_gates):
+        """``DROP_BATCH`` changes which faults PODEM targets, never which
+        faults the final pattern set covers."""
         nl = _circuit(seed, 5, n_gates, n_flops=2)
-        batched = run_atpg(
-            nl, seed=7, backtrack_limit=5_000, drop_batch=64
-        )
-        per_pattern = run_atpg(
-            nl, seed=7, backtrack_limit=5_000, drop_batch=1
-        )
+        batched = run_atpg(nl, seed=7, backtrack_limit=5_000)
+        with mock.patch.object(flow, "DROP_BATCH", 1):
+            per_pattern = run_atpg(nl, seed=7, backtrack_limit=5_000)
         assert batched.n_aborted == 0 and per_pattern.n_aborted == 0
         assert batched.n_detected == per_pattern.n_detected
         assert batched.n_untestable == per_pattern.n_untestable
@@ -133,21 +145,6 @@ class TestBatchedDropping:
         g_b = grade_faults(nl, targets, batched.patterns)
         g_p = grade_faults(nl, targets, per_pattern.patterns)
         assert set(g_b.detected) == set(g_p.detected)
-
-    def test_drop_batch_one_bit_identical_to_seed_flow(self):
-        """``drop_batch=1`` must reproduce the original per-pattern flow
-        exactly (same RNG draws, same grading sets -> same vectors)."""
-        nl = _circuit(11, 5, 30, n_flops=2)
-        a = run_atpg(nl, seed=5, backend="legacy", drop_batch=1)
-        b = run_atpg(nl, seed=5, backend="legacy", drop_batch=64)
-        assert a.n_detected == b.n_detected
-        assert a.n_untestable == b.n_untestable
-
-    def test_drop_batch_must_be_positive(self):
-        nl = _circuit(1, 4, 8)
-        with pytest.raises(ValueError):
-            run_atpg(nl, drop_batch=0)
-
 
 class TestUndoTrail:
     def test_assign_undo_restores_state_exactly(self):
@@ -201,7 +198,7 @@ class TestScoap:
         t = nl.add_gate(GateType.AND, [a, b])
         y = nl.add_gate(GateType.AND, [t, c])
         nl.mark_output(y)
-        s = compute_scoap(make_simulator(nl, "word").compiled)
+        s = compute_scoap(PackedWordSimulator(nl).compiled)
         assert s.cc0[a] == 1 and s.cc1[a] == 1
         assert s.cc1[t] == 3  # both inputs to 1: 1 + 1 + 1
         assert s.cc0[t] == 2  # one input to 0: min(1, 1) + 1
@@ -216,7 +213,7 @@ class TestScoap:
         k = nl.add_gate(GateType.CONST0, [])
         y = nl.add_gate(GateType.OR, [a, k])
         nl.mark_output(y)
-        s = compute_scoap(make_simulator(nl, "word").compiled)
+        s = compute_scoap(PackedWordSimulator(nl).compiled)
         assert s.cc0[k] == 0
         assert s.cc1[k] >= SCOAP_INF
 
@@ -281,7 +278,7 @@ class TestCompiledPodemUnits:
 
     def test_shares_prebuilt_compiled_netlist(self):
         nl = _circuit(9, 4, 12)
-        sim = make_simulator(nl, "word")
+        sim = PackedWordSimulator(nl)
         podem = CompiledPodem(nl, compiled=sim.compiled)
         assert podem.c is sim.compiled
         fault = collapse_faults(nl, full_fault_universe(nl))[0]

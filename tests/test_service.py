@@ -221,6 +221,18 @@ class TestServiceApi:
                 ("decide", {"n_faults": 0}),
                 ("decide", {"benchmarks": []}),
                 ("repair", {"model": "nonesuch"}),
+                ("inject", {"model": "nonesuch"}),
+                ("inject", {"sampling": "zipf"}),
+                ("inject", {"n_faults": 0}),
+                ("inject", {"chunk_size": 0}),
+                ("inject", {"checkpoint_interval": -1}),
+                ("inject", {"counts": [2, 2, 2]}),
+                ("inject", {"counts": [2, 2, 2, 2, 2, 3]}),
+                ("inject", {"grouped": False}),
+                ("inject", {"first_effect": False}),
+                ("isolation", {"backend": "legacy"}),
+                ("isolation", {"n_faults": 0}),
+                ("isolation", {"chunk_size": 0}),
             ):
                 with pytest.raises(ServiceError) as err:
                     client.submit(campaign, params)

@@ -1,4 +1,5 @@
-"""Out-of-process crash recovery: SIGKILL the real service mid-campaign.
+"""Crash recovery: SIGKILL the real service mid-campaign, and journal
+records a restarted service cannot rebuild.
 
 Unlike ``test_service_faults.py`` (in-process, simulated kills), this
 test runs ``repro serve`` as a real subprocess, SIGKILLs it while shards
@@ -6,10 +7,13 @@ are streaming into the checkpoint store, garbles the store's tail to
 mimic a write cut off mid-append, and restarts the service on the same
 cache root.  The journal must requeue the unfinished job, the store must
 heal its torn tail, and the resumed run must reuse the surviving
-checkpoints and merge to the exact direct-runner result.
+checkpoints and merge to the exact direct-runner result.  A journal
+record whose spec is no longer legal is skipped on replay, counted, and
+reported on stderr, without stopping the service.
 """
 
 import dataclasses
+import json
 import os
 import select
 import signal
@@ -22,6 +26,8 @@ import pytest
 
 from repro.runner import MonteCarloSpec, run_montecarlo
 from repro.service import ServiceClient
+from repro.service.jobs import JobJournal
+from repro.service.testing import service_fixture
 
 PARAMS = {"n_chips": 12000, "chunk_size": 80}  # 150 shards
 
@@ -102,3 +108,24 @@ def test_sigkill_mid_campaign_then_restart_resumes(tmp_path):
         assert result["result"] == direct
     finally:
         _kill(proc)
+
+
+def test_journal_record_with_retired_spec_is_skipped_loudly(
+    tmp_path, capsys
+):
+    records = [
+        # A retired replay strategy: the spec no longer builds.
+        {"ev": "submit", "job": "inject-retired", "campaign": "inject",
+         "params": {"n_faults": 4, "grouped": False}, "t": 0.0},
+        {"ev": "submit", "job": "montecarlo-ok", "campaign": "montecarlo",
+         "params": {"n_chips": 200, "chunk_size": 100}, "t": 0.0},
+    ]
+    (tmp_path / JobJournal.FILENAME).write_text(
+        "".join(json.dumps(r) + "\n" for r in records)
+    )
+    with service_fixture(tmp_path, service_workers=0) as (client, service):
+        assert client.metrics()["service"]["journal_skipped"] == 1
+        assert [j["job"] for j in client.jobs()] == ["montecarlo-ok"]
+    err = capsys.readouterr().err
+    assert "inject-retired" in err
+    assert "grouped=False" in err

@@ -153,7 +153,8 @@ class TestForkEquivalence:
             next(s for s in sites if s.struct == "iq_int"),
         ]
         boundaries = [
-            c for c, _ in golden.checkpoints[:3]
+            golden.arena.cycle_of(k)
+            for k in range(min(3, len(golden.arena)))
         ]
         assert boundaries, "golden run too short for checkpoints"
         for site in picks:

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.netlist import GateType, Netlist
-from repro.netlist.compiled import make_simulator
+from repro.netlist.compiled import PackedWordSimulator
 from repro.netlist.faults import StuckAt
 from repro.telemetry import (
     TELEMETRY,
@@ -89,7 +89,7 @@ class TestDisabledByDefault:
 
     def test_engine_outputs_identical_on_and_off(self):
         nl = _small_netlist()
-        sim_a = make_simulator(nl, "word")
+        sim_a = PackedWordSimulator(nl)
         rng = np.random.default_rng(0)
         patterns = rng.integers(
             0, 2, size=(70, sim_a.n_sources)
@@ -103,7 +103,7 @@ class TestDisabledByDefault:
         )
 
         TELEMETRY.enable()
-        sim_b = make_simulator(nl, "word")
+        sim_b = PackedWordSimulator(nl)
         values_on = sim_b.good_values(patterns)
         delta_on = sim_b.faulty_values(values_on, fault)
         po_on, st_on = sim_b.capture(
