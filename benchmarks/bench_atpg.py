@@ -35,9 +35,11 @@ python benchmarks/bench_atpg.py --check   # fast equivalence gate (CI)
 ```
 
 ``--check`` asserts reference/compiled verdict agreement on random
-circuits and a sampled slice of the Rescue workload, plus the flow's
-oracle coverage on the random circuits, and exits nonzero on any
-mismatch without touching the JSON.
+circuits and a sampled slice of the Rescue workload, the flow's oracle
+coverage on the random circuits, and that the compiled engine's
+cone-only reset reaches the full-sweep base state on every collapsed
+fault of the Rescue netlist; it exits nonzero on any mismatch without
+touching the JSON.
 """
 
 from __future__ import annotations
@@ -227,6 +229,9 @@ def check(seed: int = SEED) -> None:
        detect exactly the other targets under the reference simulator.
     3. Rescue workload slice: standalone verdicts agree on a fault
        sample wherever neither engine aborts (an abort makes no claim).
+    4. Rescue netlist, every collapsed fault: the compiled engine's
+       cone-only reset lands in exactly the good/faulty/D-net state of
+       a full topological 3-valued sweep, with an empty undo trail.
     """
     from repro.atpg.collapse import collapse_faults
     from repro.atpg.faults import full_fault_universe
@@ -301,11 +306,20 @@ def check(seed: int = SEED) -> None:
             f"Rescue {fault.describe()}: reference={s_l} compiled={s_c}"
         )
         agreed += 1
+
+    if str(_REPO_ROOT) not in sys.path:  # the reset oracle lives in tests/
+        sys.path.insert(0, str(_REPO_ROOT))
+    from tests.test_podem_compiled import assert_reset_matches_full_sweep
+
+    assert_reset_matches_full_sweep(
+        CompiledPodem(netlist), faults, label="Rescue "
+    )
     print(
         f"check OK: {n_verdicts} random-circuit verdicts, 8 flow "
         f"oracle-coverage checks, {agreed} Rescue verdicts bit-identical "
         f"between compiled and reference PODEM ({skipped} abort-budget "
-        f"skips)"
+        f"skips), {len(faults)} Rescue cone-only resets equal to the "
+        f"full sweep"
     )
 
 

@@ -38,37 +38,37 @@ _NONCONTROL = {
 
 
 def _eval3(gtype: GateType, ins: List[int]) -> int:
+    """Kleene 3-valued output of one gate (``X`` = unknown).
+
+    Shared by the reference :class:`Podem` and the compiled engine.
+    AND/OR-family gates use membership tests: a controlling input fixes
+    the output, otherwise any ``X`` input leaves it unknown.
+    """
     if gtype is GateType.AND or gtype is GateType.NAND:
-        out = 1
-        for v in ins:
-            if v == 0:
-                out = 0
-                break
-            if v == X:
-                out = X
-        if gtype is GateType.NAND and out != X:
-            out = 1 - out
-        return out
+        if 0 in ins:
+            out = 0
+        elif X in ins:
+            return X
+        else:
+            out = 1
+        return 1 - out if gtype is GateType.NAND else out
     if gtype is GateType.OR or gtype is GateType.NOR:
-        out = 0
-        for v in ins:
-            if v == 1:
-                out = 1
-                break
-            if v == X:
-                out = X
-        if gtype is GateType.NOR and out != X:
-            out = 1 - out
-        return out
+        if 1 in ins:
+            out = 1
+        elif X in ins:
+            return X
+        else:
+            out = 0
+        return 1 - out if gtype is GateType.NOR else out
     if gtype is GateType.NOT:
         return X if ins[0] == X else 1 - ins[0]
     if gtype is GateType.BUF:
         return ins[0]
     if gtype is GateType.XOR or gtype is GateType.XNOR:
+        if X in ins:
+            return X
         out = 0
         for v in ins:
-            if v == X:
-                return X
             out ^= v
         if gtype is GateType.XNOR:
             out = 1 - out

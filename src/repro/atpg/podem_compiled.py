@@ -7,15 +7,20 @@ wall-clock sink of the deterministic ATPG phase.  This module applies the
 three production remedies:
 
 1. **Event-driven implication with an undo trail.**  Good and faulty
-   3-valued state live in two flat numpy ``int8`` arrays; assigning a
-   source re-evaluates only the gates in its fanout cone (the same
-   heap-by-topological-position walk the bit-packed fault simulator
-   uses, via the ``readers``/``topo_pos``/``gate_tuples`` hooks on
-   :class:`~repro.netlist.compiled.CompiledNetlist`).  Every net write is
-   recorded on a trail, so a backtrack restores O(touched) nets instead
-   of resimulating everything.  Kleene 3-valued evaluation is monotone in
-   the information order, which is what makes incremental refinement
-   (X -> 0/1, never back) sound between decisions of one branch.
+   3-valued state live in two plain Python lists indexed by net id.  The
+   fault-free all-X state is swept once per instance and cached; each
+   target's reset copies it into both lists and then event-drives only
+   the fault's fanout cone (the stem's readers, or the faulted gate).
+   Assigning a source likewise re-evaluates only the gates in its fanout
+   cone (the same heap-by-topological-position walk the bit-packed fault
+   simulator uses, via the ``readers``/``topo_pos``/``gate_tuples`` hooks
+   on :class:`~repro.netlist.compiled.CompiledNetlist`), and a gate other
+   than the faulted one whose faulty inputs equal its good inputs reuses
+   the good value instead of a second evaluation.  Every net write after the reset is recorded on a
+   trail, so a backtrack restores O(touched) nets instead of resimulating
+   everything.  Kleene 3-valued evaluation is monotone in the information
+   order, which is what makes incremental refinement (X -> 0/1, never
+   back) sound between decisions of one branch.
 
 2. **SCOAP-guided search.**  :func:`compute_scoap` derives classic
    testability measures once per netlist — CC0/CC1 controllability in
@@ -42,15 +47,14 @@ search paths) but every returned pattern detects its target fault, which
 Telemetry (all prefixed ``podem.``, same names as the reference where
 shared): ``targets``, ``backtracks``, ``detected/untestable/aborted``,
 plus ``cone_evals`` (event-driven gate re-evaluations),
-``undo_restores`` (trail entries rolled back), and ``xpath_prunes``.
+``reset_evals`` (gates the per-target reset re-evaluates in the fault's
+cone), ``undo_restores`` (trail entries rolled back), and ``xpath_prunes``.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.podem import _NONCONTROL, PodemResult, X, _eval3
 from repro.netlist.compiled import CompiledNetlist
@@ -212,13 +216,20 @@ class CompiledPodem:
         self._sources: Set[int] = set(self.c.source_nets)
         self._obs: Set[int] = self.c.obs_nets
         self.scoap = compute_scoap(self.c)
-        n = self.c.n_nets
-        self.good = np.full(n, X, dtype=np.int8)
-        self.faulty = np.full(n, X, dtype=np.int8)
+        # Fault-free 3-valued state under the all-X assignment: the one
+        # full sweep per instance; every target's reset starts from it.
+        base = [X] * self.c.n_nets
+        for gid in self._topo:
+            gtype, ins, out = self.c.gate_tuples[gid]
+            base[out] = _eval3(gtype, [base[i] for i in ins])
+        self._base = base
+        self.good = list(base)
+        self.faulty = list(base)
         self._trail: List[Tuple[int, int, int]] = []
         self._d_nets: Set[int] = set()
         # Per-generate() instrumentation (flushed to TELEMETRY).
         self._cone_evals = 0
+        self._reset_evals = 0
         self._undo_restores = 0
         self._xpath_prunes = 0
         # Per-fault site registers (set by _reset).
@@ -231,6 +242,7 @@ class CompiledPodem:
     def generate(self, fault: StuckAt) -> PodemResult:
         """Find a source assignment detecting ``fault``, or prove none."""
         self._cone_evals = 0
+        self._reset_evals = 0
         self._undo_restores = 0
         self._xpath_prunes = 0
         result = self._generate(fault)
@@ -240,6 +252,7 @@ class CompiledPodem:
             t.count("podem.backtracks", result.backtracks)
             t.count(f"podem.{result.status}")
             t.count("podem.cone_evals", self._cone_evals)
+            t.count("podem.reset_evals", self._reset_evals)
             t.count("podem.undo_restores", self._undo_restores)
             t.count("podem.xpath_prunes", self._xpath_prunes)
         return result
@@ -290,48 +303,36 @@ class CompiledPodem:
     # State management: reset, event-driven implication, undo trail
     # ------------------------------------------------------------------
     def _reset(self, fault: StuckAt) -> None:
-        """Full 3-valued pass under the all-X assignment (base state).
+        """Load the base state for ``fault`` (cone-only, trail-free).
 
-        Constants (and the fault's stuck value) propagate here once; all
-        later refinement is event-driven from assigned sources.  The base
-        state is trail-free — undo never rolls past it.
+        Both sides start from the cached fault-free all-X state; only the
+        fault's fanout cone then differs, so the stuck value is
+        event-driven from the stem's readers (or the faulted gate) with
+        the cone walk a decision uses.  The trail is cleared afterwards,
+        so undo never rolls past the base state.
         """
-        good = self.good
-        faulty = self.faulty
-        good.fill(X)
-        faulty.fill(X)
-        self._trail.clear()
-        d_nets = self._d_nets
-        d_nets.clear()
+        self.good[:] = self._base
+        self.faulty[:] = self._base
+        self._d_nets.clear()
         stem = fault.net if fault.is_stem else -1
         self._stem = stem
         self._fgate = fault.gate if fault.gate is not None else -1
         self._fpin = fault.pin if fault.pin is not None else 0
         self._fval = fault.value
         if stem >= 0:
-            faulty[stem] = fault.value
-        fgate, fpin, fval = self._fgate, self._fpin, self._fval
-        for gid in self._topo:
-            gtype, ins, out = self.c.gate_tuples[gid]
-            g = _eval3(gtype, [good[i] for i in ins])
-            fins = [faulty[i] for i in ins]
-            if gid == fgate:
-                fins[fpin] = fval
-            f = _eval3(gtype, fins)
-            if out == stem:
-                f = fval
-            good[out] = g
-            faulty[out] = f
-            if g != X and f != X and g != f:
-                d_nets.add(out)
+            self._set(stem, self.good[stem], fault.value)
+            self._reset_evals += self._propagate(self.c.readers[stem])
+        elif self._fgate >= 0:
+            self._reset_evals += self._propagate((self._fgate,))
+        self._trail.clear()
 
     def _set(self, net: int, g: int, f: int) -> None:
         """Write one net's (good, faulty) pair, trail-recorded."""
-        self._trail.append(
-            (net, int(self.good[net]), int(self.faulty[net]))
-        )
-        self.good[net] = g
-        self.faulty[net] = f
+        good = self.good
+        faulty = self.faulty
+        self._trail.append((net, good[net], faulty[net]))
+        good[net] = g
+        faulty[net] = f
         if g != X and f != X and g != f:
             self._d_nets.add(net)
         else:
@@ -341,29 +342,44 @@ class CompiledPodem:
         """Assign a source and propagate its fanout cone; returns the
         trail mark to undo to."""
         mark = len(self._trail)
-        fval = self._fval
-        self._set(src, val, fval if src == self._stem else val)
+        self._set(src, val, self._fval if src == self._stem else val)
+        self._cone_evals += self._propagate(self.c.readers[src])
+        return mark
+
+    def _propagate(self, seeds: Sequence[int]) -> int:
+        """Re-evaluate ``seeds`` and every gate downstream of a changed
+        net, in topological order; returns the gates evaluated.
+
+        A gate other than the faulted one whose faulty inputs equal its
+        good inputs has the good value on both sides (unless it drives
+        the stuck stem), so its faulty side is not evaluated again.
+        """
         good = self.good
         faulty = self.faulty
         c = self.c
         readers = c.readers
         pos = c.topo_pos
         tuples = c.gate_tuples
-        stem, fgate, fpin = self._stem, self._fgate, self._fpin
-        heap: List[Tuple[int, int]] = []
-        queued: Set[int] = set()
-        for gid in readers[src]:
-            queued.add(gid)
-            heappush(heap, (pos[gid], gid))
+        stem, fgate, fpin, fval = (
+            self._stem, self._fgate, self._fpin, self._fval
+        )
+        heap = [(pos[gid], gid) for gid in seeds]
+        heapify(heap)
+        queued = set(seeds)
         evals = 0
         while heap:
             _, gid = heappop(heap)
             gtype, ins, out = tuples[gid]
-            g = _eval3(gtype, [good[i] for i in ins])
+            gins = [good[i] for i in ins]
+            g = _eval3(gtype, gins)
             fins = [faulty[i] for i in ins]
             if gid == fgate:
                 fins[fpin] = fval
-            f = _eval3(gtype, fins)
+                f = _eval3(gtype, fins)
+            elif fins == gins:
+                f = g
+            else:
+                f = _eval3(gtype, fins)
             if out == stem:
                 f = fval
             evals += 1
@@ -373,8 +389,7 @@ class CompiledPodem:
                     if r not in queued:
                         queued.add(r)
                         heappush(heap, (pos[r], r))
-        self._cone_evals += evals
-        return mark
+        return evals
 
     def _undo(self, mark: int) -> None:
         """Restore the trail back to ``mark`` (O(touched nets))."""
@@ -555,7 +570,7 @@ class CompiledPodem:
                     parity = 0
                     for other, n3 in enumerate(ins):
                         if other != pin and good[n3] != X:
-                            parity ^= int(good[n3])
+                            parity ^= good[n3]
                     stack.append((n2, (value ^ parity) ^ flip))
                 continue
             # AND / NAND / OR / NOR
