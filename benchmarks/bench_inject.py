@@ -28,9 +28,9 @@ python benchmarks/bench_inject.py --faults 256 --workers 8
 ```
 
 ``--check`` runs a small campaign pair and asserts masking, worker /
-resume invariance, fork/scratch equivalence, and the golden-cache
-cold/warm contract, exiting nonzero on any violation without touching
-the JSON.
+resume invariance, fork/scratch equivalence, the golden-cache cold/warm
+contract and snapshot-arena compression on both cores, exiting nonzero
+on any violation without touching the JSON.
 """
 
 from __future__ import annotations
@@ -194,13 +194,40 @@ def _measure_suffix_replay(spec, workers: int) -> dict:
     }
 
 
+#: The finer checkpoint interval the snapshot arena is measured at.
+FINE_INTERVAL = 48
+
+
+def _assert_arena_compresses(spec) -> dict:
+    """Golden snapshot arenas of both masking cores at ``FINE_INTERVAL``:
+    the compressed bytes must be below the raw bytes on each."""
+    from dataclasses import replace
+
+    from repro.inject import prepare_injection
+    from repro.runner import clear_contexts
+
+    arena = {}
+    for name, s in _masking_specs(spec).items():
+        clear_contexts()
+        golden, _faults = prepare_injection(
+            replace(s, checkpoint_interval=FINE_INTERVAL)
+        )
+        stats = arena[name] = golden.arena.stats()
+        if stats["compressed_bytes"] >= stats["raw_bytes"]:
+            raise AssertionError(
+                f"snapshot arena did not compress on the {name} core: "
+                f"{stats}"
+            )
+    return arena
+
+
 def _measure_grouped_replay(spec, workers: int) -> dict:
     """Checkpoint-grouped replay + scan at a finer checkpoint interval.
 
     Runs the full masking campaign end to end — golden simulation,
     first-effect scan, and every faulty replay inside the timed region —
     and records wall clock, the warm-core reuse and scan-skip counters,
-    and the snapshot arena footprint, which must compress.
+    and the snapshot arena footprint (``--check`` asserts it compresses).
     """
     from dataclasses import replace
 
@@ -208,7 +235,7 @@ def _measure_grouped_replay(spec, workers: int) -> dict:
     from repro.runner import clear_contexts
     from repro.telemetry import TELEMETRY
 
-    fine = 48
+    fine = FINE_INTERVAL
     arena = {}
     TELEMETRY.enable()
     try:
@@ -224,12 +251,6 @@ def _measure_grouped_replay(spec, workers: int) -> dict:
     finally:
         TELEMETRY.disable()
         TELEMETRY.reset()
-    for name, stats in arena.items():
-        if stats["compressed_bytes"] >= stats["raw_bytes"]:
-            raise AssertionError(
-                f"snapshot arena did not compress on the {name} core: "
-                f"{stats}"
-            )
     return {
         "strategy": "checkpoint-grouped + sticky first-effect scan",
         "checkpoint_interval": fine,
@@ -378,6 +399,7 @@ def check(workers: int = 2) -> None:
     _assert_fork_equivalence(spec)
     suffix = _measure_suffix_replay(spec, workers=1)
     cache = _golden_cache_probe(spec)
+    arena = _assert_arena_compresses(spec)
     deg, full = val["degraded"], val["full"]
     print(
         "inject check OK: "
@@ -388,7 +410,11 @@ def check(workers: int = 2) -> None:
         f"{suffix['cycles_simulated']['ratio']}x fewer simulated cycles "
         f"({suffix['early_exits']} early exits), "
         f"warm golden cache: {cache['warm_cache_hits']} hits / "
-        f"{cache['warm_golden_cycles']} golden cycles simulated"
+        f"{cache['warm_golden_cycles']} golden cycles simulated, "
+        f"snapshot arena compressed on both cores ("
+        + ", ".join(f"{k} {v['compressed_bytes']}/{v['raw_bytes']} B"
+                    for k, v in arena.items())
+        + ")"
     )
 
 

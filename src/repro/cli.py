@@ -40,11 +40,10 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.runner.protocol import format_choices, spec_params
 from repro.runner.registry import REGISTRY, get_campaign
 
-#: Campaigns `repro run` and the service can drive; sourced from the
-#: runner registry so parser choices, dispatch, and the CLI tests' round
-#: trip can never drift from what is actually registered.
+#: The registered campaigns, one `repro run` subcommand each.
 RUN_CAMPAIGNS = tuple(REGISTRY)
 
 #: Default service endpoint for the client commands (override with
@@ -207,123 +206,159 @@ def _run(name: str, spec, args: argparse.Namespace):
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.inject import InjectionSpec
-    from repro.runner import IpcSweepSpec, IsolationSpec, MonteCarloSpec
-
-    name = args.campaign
-    if name == "decide":
-        return _cmd_decide(args)
-    if name == "repair":
-        return _cmd_repair(args)
-    if name == "isolation":
-        spec = IsolationSpec(
-            tiny=args.tiny,
-            baseline=args.baseline,
-            fault_seed=args.seed,
-            n_faults=args.faults if args.faults is not None else 600,
-            chunk_size=args.chunk_size or 50,
-        )
-    elif name == "inject":
-        spec = InjectionSpec(
-            n_faults=args.faults if args.faults is not None else 64,
-            seed=args.seed,
-            chunk_size=args.chunk_size or 8,
-        )
-    elif name == "montecarlo":
-        spec = MonteCarloSpec(
-            node_nm=args.node,
-            growth=args.growth / 100,
-            stagnation_node_nm=float(args.stagnation),
-            n_chips=args.chips,
-            seed=args.seed,
-            chunk_size=args.chunk_size or 250,
-        )
-    else:
-        spec = IpcSweepSpec(
-            benchmarks=tuple(args.benchmarks) or _all_benchmarks(),
-            n_instructions=(
-                args.instructions if args.instructions is not None
-                else 20_000
-            ),
-            warmup=args.warmup if args.warmup is not None else 12_000,
-            compose=not args.full,
-            chunk_size=args.chunk_size or 1,
-        )
-    result = _run(name, spec, args)
-    if name == "ipc":
-        tables = result.tables(compose=spec.compose)
-        print(f"{'benchmark':10s} {'full IPC':>9s} {'worst-config':>13s}")
-        for bench, table in tables.items():
-            print(
-                f"{bench:10s} {max(table.values()):9.3f} "
-                f"{min(table.values()):13.3f}"
+def add_spec_flags(parser: argparse.ArgumentParser, spec_cls: type) -> None:
+    """One flag per spec field that declares one, generated from its
+    :func:`~repro.runner.protocol.param`; the defaults are the spec's."""
+    for f, decl, (kind, _optional, is_tuple) in spec_params(spec_cls):
+        if decl.flags and kind is bool:
+            parser.add_argument(*decl.flags, action="store_true",
+                                help=decl.help)
+        elif decl.flags:
+            names = decl.choices and format_choices(decl.choices)
+            listed = names and (is_tuple or len(decl.choices) > 4)
+            note = f"default {f.default}"
+            if is_tuple:
+                note = "default " + ("all" if f.default == decl.choices
+                                     else " ".join(f.default))
+            elif decl.lo is not None:
+                note += f"; from {decl.lo}" + (
+                    "" if decl.hi is None else f" to {decl.hi}")
+            if listed:
+                note += f"; one of {names}"
+            parser.add_argument(
+                *decl.flags, type=decl.parse or kind, default=f.default,
+                choices=decl.choices, nargs="+" if is_tuple else None,
+                metavar="NAME" if listed else names and "{%s}" % (
+                    names.replace(" ", "")),
+                help=f"{decl.help} ({note})",
             )
-        return 0
+
+
+def spec_from_args(spec_cls: type, args: argparse.Namespace, **fixed):
+    """The spec a parsed command line names; ``fixed`` sets fields that
+    command-only flags decide.  Invalid values raise ``ValueError``."""
+    values = {}
+    for f, decl, (kind, _optional, is_tuple) in spec_params(spec_cls):
+        if decl.flags:
+            value = getattr(args, decl.flags[0][2:].replace("-", "_"))
+            if kind is bool:
+                value = decl.sets if value else not decl.sets
+            values[f.name] = tuple(value) if is_tuple else value
+    return spec_cls(**values, **fixed)
+
+
+def _spec(args: argparse.Namespace, **fixed):
+    """:func:`spec_from_args` for the chosen campaign; exit 2 if invalid."""
+    try:
+        return spec_from_args(
+            REGISTRY[args.campaign].spec_cls, args, **fixed
+        )
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
+def _report_isolation(args, spec, result) -> int:
     print(result.summary())
-    if name == "isolation" and not args.baseline:
-        return 0 if result.correct_rate == 1.0 else 1
+    return 0 if result.correct_rate == 1.0 or spec.baseline else 1
+
+
+def _report_ipc(args, spec, result) -> int:
+    tables = result.tables(compose=spec.compose)
+    print(f"{'benchmark':10s} {'full IPC':>9s} {'worst-config':>13s}")
+    for bench, table in tables.items():
+        print(
+            f"{bench:10s} {max(table.values()):9.3f} "
+            f"{min(table.values()):13.3f}"
+        )
     return 0
 
 
-def _cmd_inject(args: argparse.Namespace) -> int:
-    from repro.inject import InjectionSpec
+def _report_decide(args, spec, result) -> int:
+    print(result.summary(top=args.top))
+    return 0 if result.front else 1
+
+
+def _report_repair(args, spec, result) -> int:
+    print(result.summary())
+    prefix = getattr(args, "apply", None)
+    if prefix:
+        from dataclasses import asdict
+
+        from repro.netlist.verilog import to_verilog
+        from repro.repair import patch_model
+
+        patched, log = patch_model(spec, result.actions)
+        vpath, ppath = f"{prefix}.v", f"{prefix}.plan.json"
+        with open(vpath, "w") as f:
+            f.write(to_verilog(patched, module_name="repaired_core",
+                               scan=False))
+        with open(ppath, "w") as f:
+            json.dump({"campaign": "repair", "spec": asdict(spec),
+                       "result": result.to_json(), "transform_log": log},
+                      f, indent=2)
+        print(f"wrote {vpath} and {ppath}", file=sys.stderr)
+    ok = result.patched_satisfied and result.equivalent
+    return 0 if ok and not result.unrepaired else 1
+
+
+#: Campaign-specific output and exit codes; any other campaign prints
+#: its summary and exits 0.
+_REPORTS = {
+    "isolation": _report_isolation,
+    "ipc": _report_ipc,
+    "decide": _report_decide,
+    "repair": _report_repair,
+}
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    result = _run(args.campaign, spec, args)
+    report = _REPORTS.get(args.campaign)
+    if report is None:
+        print(REGISTRY[args.campaign].summarize(result))
+        return 0
+    return report(args, spec, result)
+
+
+def _inject_overrides(args: argparse.Namespace) -> dict:
+    """The spec fields ``repro inject``'s --config and --blocks set."""
     from repro.inject.campaign import DIMENSIONS
     from repro.inject.sites import mapped_out_blocks
     from repro.yieldmodel.configs import CoreCounts
 
-    counts = (1,) * 6 if args.config == "degraded" else (2,) * 6
     blocks = None
     if args.blocks == "mapped-out":
         blocks = mapped_out_blocks(
             CoreCounts(**{d: 1 for d in DIMENSIONS})
         )
+    counts = (1,) * 6 if args.config == "degraded" else (2,) * 6
+    return dict(counts=counts, blocks=blocks)
+
+
+def _cmd_inject(args: argparse.Namespace) -> int:
+    spec = _spec(args, **_inject_overrides(args))
     if args.profile:
         # Profile-only pass: golden run + per-site residency report.
-        from repro.cpu.degraded import degraded_params
-        from repro.cpu.params import MachineConfig
+        from repro.inject.campaign import build_config
         from repro.inject.harness import run_golden
-        from repro.workloads.generator import generate_trace
-        from repro.workloads.profiles import profile
+        from repro.workloads import generate_trace, profile
 
-        config = degraded_params(
-            MachineConfig(rescue=True),
-            CoreCounts(**dict(zip(DIMENSIONS, counts))),
-        )
         trace = generate_trace(
-            profile(args.benchmark), args.instructions,
-            seed=args.trace_seed,
+            profile(spec.benchmark), spec.n_instructions,
+            seed=spec.trace_seed,
         )
         golden = run_golden(
-            config, trace, args.instructions,
-            profile_stride=args.profile_stride,
+            build_config(spec)[0], trace, spec.n_instructions,
+            profile_stride=spec.profile_stride,
         )
-        print(f"config: {args.config}  benchmark: {args.benchmark}  "
+        print(f"config: {args.config}  benchmark: {spec.benchmark}  "
               f"golden cycles: {golden.cycles}")
         print(golden.profile.report())
         return 0
-    spec = InjectionSpec(
-        benchmark=args.benchmark,
-        n_instructions=args.instructions,
-        trace_seed=args.trace_seed,
-        counts=counts,
-        model=args.model,
-        n_faults=args.sites,
-        seed=args.seed,
-        blocks=blocks,
-        chunk_size=args.chunk_size,
-        checkpoint_interval=args.checkpoint_interval,
-        fork=not args.no_fork,
-        keep_records=not args.summary_only,
-        exemplar_cap=args.exemplars,
-        sampling=args.sampling,
-        profile_stride=args.profile_stride,
-        snapshot_budget=args.snapshot_budget,
-        golden_cache=args.golden_cache,
-    )
     stats = _run("inject", spec, args)
     print(
-        f"config: {args.config}  model: {args.model}  "
+        f"config: {args.config}  model: {spec.model}  "
         f"blocks: {args.blocks}"
     )
     print(stats.summary())
@@ -337,90 +372,6 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         )
         return 0 if ok else 1
     return 0
-
-
-def _decide_spec(args: argparse.Namespace):
-    from repro.decide import DecideSpec
-
-    # `repro decide` and `repro run decide` share this builder; the run
-    # parser lacks the inject-phase flags, so fall back to spec defaults.
-    return DecideSpec(
-        benchmarks=tuple(args.benchmarks) or ("gzip", "mcf"),
-        n_instructions=(
-            args.instructions if args.instructions is not None else 3000
-        ),
-        warmup=args.warmup if args.warmup is not None else 1500,
-        inject_benchmark=getattr(args, "inject_benchmark", "gzip"),
-        inject_instructions=getattr(args, "inject_instructions", 1500),
-        n_faults=args.faults if args.faults is not None else 64,
-        inject_seed=args.seed,
-        node_nm=args.node,
-        growth=args.growth / 100,
-        stagnation_node_nm=float(args.stagnation),
-        chunk_size=args.chunk_size or 1,
-        golden_cache=getattr(args, "golden_cache", False),
-    )
-
-
-def _cmd_decide(args: argparse.Namespace) -> int:
-    result = _run("decide", _decide_spec(args), args)
-    print(result.summary(top=getattr(args, "top", 10)))
-    return 0 if result.front else 1
-
-
-def _repair_spec(args: argparse.Namespace):
-    from repro.repair import RepairSpec
-
-    # `repro repair` and `repro run repair` share this builder; the run
-    # parser lacks the break/oracle flags, so fall back to spec defaults.
-    return RepairSpec(
-        model=getattr(args, "model", "baseline"),
-        tiny=args.tiny,
-        n_breaks=getattr(args, "breaks", 2),
-        break_seed=getattr(args, "break_seed", 5),
-        n_patterns=getattr(args, "patterns", None) or 192,
-        n_isolation_faults=getattr(args, "isolation_faults", 6),
-        seed=args.seed,
-        chunk_size=args.chunk_size or 2,
-    )
-
-
-def _cmd_repair(args: argparse.Namespace) -> int:
-    from repro.repair import patch_model
-
-    spec = _repair_spec(args)
-    result = _run("repair", spec, args)
-    print(result.summary())
-    prefix = getattr(args, "apply", None)
-    if prefix:
-        from dataclasses import asdict
-
-        from repro.netlist.verilog import to_verilog
-
-        patched, log = patch_model(spec, result.actions)
-        vpath = f"{prefix}.v"
-        with open(vpath, "w") as f:
-            f.write(to_verilog(patched, module_name="repaired_core",
-                               scan=False))
-        ppath = f"{prefix}.plan.json"
-        with open(ppath, "w") as f:
-            json.dump(
-                {
-                    "campaign": "repair",
-                    "spec": asdict(spec),
-                    "result": result.to_json(),
-                    "transform_log": log,
-                },
-                f,
-                indent=2,
-            )
-        print(f"wrote {vpath} and {ppath}", file=sys.stderr)
-    ok = (
-        result.patched_satisfied
-        and result.equivalent
-        and not result.unrepaired
-    )
-    return 0 if ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -461,7 +412,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _parse_params(args: argparse.Namespace) -> dict:
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"--params is not valid JSON: {exc}")
     if not isinstance(params, dict):
         raise SystemExit("--params must be a JSON object")
     return params
@@ -532,12 +486,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _all_benchmarks():
-    from repro.workloads import PROFILES
-
-    return tuple(p.name for p in PROFILES)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``repro`` argument parser (one sub-command per flow)."""
     parser = argparse.ArgumentParser(
@@ -602,8 +550,34 @@ def build_parser() -> argparse.ArgumentParser:
                         "violation ids) instead of prose")
     p.set_defaults(func=_cmd_lint)
 
-    p = sub.add_parser(
-        "repair",
+    def add_runner_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (default 1 = in-process)")
+        p.add_argument("--resume", action="store_true",
+                       help="reuse completed shards from the checkpoint "
+                            "store")
+        p.add_argument("--no-checkpoint", action="store_true",
+                       help="do not write shard checkpoints")
+        p.add_argument("--cache-dir", default=None,
+                       help="checkpoint root (default .repro_cache or "
+                            "$REPRO_CACHE_DIR)")
+        add_trace_flag(p)
+
+    def add_campaign(subs, name: str, **kw) -> argparse.ArgumentParser:
+        """A command running campaign ``name``: its generated spec flags,
+        the runner flags and its command-only flags."""
+        q = subs.add_parser(name, **kw)
+        add_spec_flags(q, REGISTRY[name].spec_cls)
+        add_runner_flags(q)
+        if name == "decide":
+            q.add_argument("--top", type=int, default=10,
+                           help="ranked configurations to print "
+                                "(default 10)")
+        q.set_defaults(func=_cmd_run, campaign=name, parser=q)
+        return q
+
+    p = add_campaign(
+        sub, "repair",
         help="search + verify ICI repair patches for a pipeline model",
         description=(
             "Run the sharded auto-repair campaign: lint the model, "
@@ -617,44 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
             "and --resume continues from checkpoints."
         ),
     )
-    p.add_argument("--model", choices=("baseline", "rescue",
-                                       "rescue-broken"),
-                   default="baseline",
-                   help="target: the non-ICI baseline RTL (default), "
-                        "the clean Rescue RTL, or Rescue with seeded "
-                        "latch-bypass breaks")
-    p.add_argument("--tiny", action="store_true",
-                   help="use the small model (fast)")
-    p.add_argument("--breaks", type=int, default=2,
-                   help="latch bypasses seeded into rescue-broken "
-                        "(default 2)")
-    p.add_argument("--break-seed", type=int, default=5)
-    p.add_argument("--patterns", type=int, default=192,
-                   help="equivalence-screen patterns per candidate "
-                        "(default 192)")
-    p.add_argument("--isolation-faults", type=int, default=6,
-                   help="stuck-at faults sampled per candidate "
-                        "(default 6)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--apply", default=None, metavar="PREFIX",
                    help="write the patched model to PREFIX.v and the "
                         "plan + transform log to PREFIX.plan.json")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1 = in-process)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="violations per shard (default 2)")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse completed shards from the checkpoint store")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not write shard checkpoints")
-    p.add_argument("--cache-dir", default=None,
-                   help="checkpoint root (default .repro_cache or "
-                        "$REPRO_CACHE_DIR)")
-    add_trace_flag(p)
-    p.set_defaults(func=_cmd_repair)
 
-    p = sub.add_parser(
-        "inject",
+    p = add_campaign(
+        sub, "inject",
         help="architectural fault injection & SDC classification",
         description=(
             "Inject transient bit-flips / stuck-ats into named "
@@ -667,10 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
             "escape)."
         ),
     )
-    p.add_argument("--sites", type=int, default=64,
-                   help="number of sampled fault injections (default 64)")
-    p.add_argument("--model", choices=("transient", "stuckat", "both"),
-                   default="both", help="fault model (default both)")
     p.add_argument("--config", choices=("full", "degraded"),
                    default="full",
                    help="run on the full core or the fully-degraded one")
@@ -678,54 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all",
                    help="sample sites from all ICI blocks or only the "
                         "half-1 blocks a degraded core maps out")
-    p.add_argument("--benchmark", default="gzip")
-    p.add_argument("--instructions", type=int, default=2000)
-    p.add_argument("--trace-seed", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1 = in-process)")
-    p.add_argument("--chunk-size", type=int, default=8,
-                   help="injections per shard (default 8)")
-    p.add_argument("--checkpoint-interval", type=int, default=128,
-                   help="golden checkpoint spacing in cycles for suffix "
-                        "replay (default 128)")
-    p.add_argument("--no-fork", action="store_true",
-                   help="use the from-scratch reference path instead of "
-                        "checkpointed suffix replay (same classifications, "
-                        "more simulated cycles)")
-    p.add_argument("--snapshot-budget", type=int, default=0,
-                   help="hard ceiling in bytes on the compressed snapshot "
-                        "arena; over budget, every other checkpoint is "
-                        "dropped (0 = unbounded)")
-    p.add_argument("--golden-cache", action="store_true",
-                   help="persist the golden prefix (log, checkpoints, "
-                        "profile) to the cache dir and reuse it on "
-                        "matching reruns")
-    p.add_argument("--summary-only", action="store_true",
-                   help="keep outcome counts + bounded exemplar records "
-                        "instead of every per-fault record")
-    p.add_argument("--exemplars", type=int, default=8,
-                   help="exemplar records kept per outcome with "
-                        "--summary-only (default 8)")
-    p.add_argument("--sampling", choices=("uniform", "weighted"),
-                   default="uniform",
-                   help="fault-site sampling within a structure: uniform "
-                        "(default) or residency-weighted from the golden "
-                        "profile")
     p.add_argument("--profile", action="store_true",
                    help="profile per-site occupancy during the golden run, "
                         "print the residency report, and exit")
-    p.add_argument("--profile-stride", type=int, default=16,
-                   help="cycles between occupancy samples for --profile / "
-                        "weighted sampling (default 16)")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse completed shards from the checkpoint store")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not write shard checkpoints")
-    p.add_argument("--cache-dir", default=None,
-                   help="checkpoint root (default .repro_cache or "
-                        "$REPRO_CACHE_DIR)")
-    add_trace_flag(p)
     p.set_defaults(func=_cmd_inject)
 
     p = sub.add_parser(
@@ -735,61 +628,17 @@ def build_parser() -> argparse.ArgumentParser:
             "Shard a campaign across worker processes with deterministic "
             "per-shard seeding: results are bit-identical for any "
             "--workers/--chunk-size, and completed shards checkpoint to "
-            "the cache dir so --resume continues an interrupted run."
+            "the cache dir so --resume continues an interrupted run.  "
+            "`repro run CAMPAIGN --help` lists the campaign's parameters."
         ),
     )
-    p.add_argument(
-        "campaign", choices=RUN_CAMPAIGNS,
-        help="isolation: random-fault scan isolation (§6.1); "
-             "montecarlo: chip-sampling YAT check (§6.3); "
-             "ipc: degraded-configuration IPC sweep (Figure 9); "
-             "inject: architectural fault injection / SDC classification; "
-             "decide: Pareto ranking of the 64 map-out configurations; "
-             "repair: verified ICI patch search over a lint report",
-    )
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1 = in-process)")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse completed shards from the checkpoint store")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not write shard checkpoints")
-    p.add_argument("--cache-dir", default=None,
-                   help="checkpoint root (default .repro_cache or "
-                        "$REPRO_CACHE_DIR)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="items per shard (campaign-specific default)")
-    p.add_argument("--seed", type=int, default=1)
-    # isolation / inject / decide knobs (per-campaign defaults:
-    # isolation 600, inject 64, decide 64)
-    p.add_argument("--faults", type=int, default=None)
-    p.add_argument("--tiny", action="store_true")
-    p.add_argument("--baseline", action="store_true")
-    # montecarlo / decide knobs
-    p.add_argument("--chips", type=int, default=2000)
-    p.add_argument("--node", type=float, default=32.0)
-    p.add_argument("--growth", type=int, default=30)
-    p.add_argument("--stagnation", type=int, default=90, choices=(90, 65))
-    # ipc / decide knobs (per-campaign defaults: ipc 20000/12000
-    # instructions/warmup, decide 3000/1500)
-    p.add_argument("--benchmarks", nargs="*", default=[],
-                   help="benchmark names (default: all 23 for ipc, "
-                        "gzip+mcf for decide)")
-    p.add_argument("--instructions", type=int, default=None)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--full", action="store_true",
-                   help="simulate all 64 configs instead of composing")
-    p.add_argument("--top", type=int, default=10,
-                   help="ranked configurations to print (decide only)")
-    # repair knobs (break/oracle settings take spec defaults)
-    p.add_argument("--model", choices=("baseline", "rescue",
-                                       "rescue-broken"),
-                   default="baseline",
-                   help="repair target model (repair only)")
-    add_trace_flag(p)
-    p.set_defaults(func=_cmd_run)
+    runs = p.add_subparsers(dest="campaign", required=True,
+                            metavar="campaign")
+    for name, campaign in REGISTRY.items():
+        add_campaign(runs, name, help=campaign.title)
 
-    p = sub.add_parser(
-        "decide",
+    add_campaign(
+        sub, "decide",
         help="Pareto-rank the 64 map-out configurations",
         description=(
             "Score every CoreCounts map-out configuration on (YAT "
@@ -802,41 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--chunk-size, and --resume continues from checkpoints."
         ),
     )
-    p.add_argument("--benchmarks", nargs="*", default=[],
-                   help="IPC benchmarks (default: gzip mcf)")
-    p.add_argument("--instructions", type=int, default=3000,
-                   help="measured instructions per IPC point")
-    p.add_argument("--warmup", type=int, default=1500)
-    p.add_argument("--inject-benchmark", default="gzip",
-                   help="benchmark driving the injection phase")
-    p.add_argument("--inject-instructions", type=int, default=1500)
-    p.add_argument("--faults", type=int, default=64,
-                   help="fault injections on the full core (default 64)")
-    p.add_argument("--golden-cache", action="store_true",
-                   help="persist the injection phase's golden prefix to "
-                        "the cache dir and reuse it on matching reruns")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--node", type=float, default=32.0,
-                   help="technology node in nm (default 32)")
-    p.add_argument("--growth", type=int, default=30,
-                   help="core growth percent per generation")
-    p.add_argument("--stagnation", type=int, default=90, choices=(90, 65),
-                   help="node where PWP stops improving")
-    p.add_argument("--top", type=int, default=10,
-                   help="ranked configurations to print (default 10)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1 = in-process)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="IPC points per shard (default 1)")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse completed shards from the checkpoint store")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not write shard checkpoints")
-    p.add_argument("--cache-dir", default=None,
-                   help="checkpoint root (default .repro_cache or "
-                        "$REPRO_CACHE_DIR)")
-    add_trace_flag(p)
-    p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser(
         "serve",

@@ -34,16 +34,27 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.decide.objectives import ConfigScore, evaluate_objectives
 from repro.decide.pareto import ParetoRanking, rank
-from repro.inject.campaign import INJECT, InjectionSpec, InjectionStats
+from repro.inject.campaign import (
+    FAULT_MODELS,
+    INJECT,
+    InjectionSpec,
+    InjectionStats,
+)
 from repro.runner.campaigns import (
+    GROWTH,
+    INSTRUCTIONS,
+    NODE_NM,
+    STAGNATION,
+    WARMUP,
     IpcSweepResult,
     IpcSweepSpec,
     ipc_sweep_items,
     simulate_points,
 )
-from repro.runner.protocol import Campaign, context
+from repro.runner.protocol import Campaign, Spec, context, param
 from repro.runner.seeding import shard_ranges
 from repro.telemetry import TELEMETRY
+from repro.workloads import BENCHMARKS
 from repro.yieldmodel.configs import CoreCounts, DIMENSIONS
 
 Key = Tuple[int, ...]
@@ -60,41 +71,47 @@ def label_key(label: str) -> Key:
 
 
 @dataclass(frozen=True)
-class DecideSpec:
+class DecideSpec(Spec):
     """Everything that determines the decision campaign's outcome."""
 
     # IPC measurement phase (full + six single-degradation configs per
     # benchmark; multi-degradation entries compose multiplicatively).
-    benchmarks: Tuple[str, ...] = ("gzip", "mcf")
-    n_instructions: int = 3000
-    warmup: int = 1500
-    ipc_seed: int = 12345
+    benchmarks: Tuple[str, ...] = param(
+        ("gzip", "mcf"), flag="--benchmarks", lo=1, choices=BENCHMARKS,
+        help="IPC benchmarks")
+    n_instructions: int = param(3000, **INSTRUCTIONS)
+    warmup: int = param(1500, **WARMUP)
+    ipc_seed: int = param(12345, lo=0, help="IPC trace seed")
     # Injection phase (full core, every block live, summary-only).
-    inject_benchmark: str = "gzip"
-    inject_instructions: int = 1500
-    inject_trace_seed: int = 7
-    inject_model: str = "both"
-    n_faults: int = 64
-    inject_seed: int = 0
-    inject_chunk: int = 8
-    checkpoint_interval: int = 128
-    # Persistent golden-prefix cache for the embedded injection phase:
-    # every decide run re-runs injection, so a warm cache skips its
-    # golden simulation in every worker.
-    golden_cache: bool = False
+    inject_benchmark: str = param(
+        "gzip", flag="--inject-benchmark", choices=BENCHMARKS,
+        help="benchmark driving the injection phase")
+    inject_instructions: int = param(
+        1500, flag="--inject-instructions", lo=1, hi=1_000_000,
+        help="injection golden-run length")
+    inject_trace_seed: int = param(7, lo=0, help="injection trace seed")
+    inject_model: str = param("both", choices=FAULT_MODELS,
+                              help="injection fault model")
+    n_faults: int = param(64, flag="--faults", lo=1, hi=100_000,
+                          help="fault injections on the full core")
+    inject_seed: int = param(0, flag="--seed", lo=0,
+                             help="injection fault-sample seed")
+    inject_chunk: int = param(8, lo=1, help="injections per shard")
+    checkpoint_interval: int = param(128, lo=0,
+                                     help="injection checkpoint spacing")
+    # Every decide run re-runs injection, so a warm golden-prefix cache
+    # skips its golden simulation in every worker.
+    golden_cache: bool = param(
+        False, flag="--golden-cache",
+        help="persist the injection phase's golden prefix to the cache "
+             "dir and reuse it on matching reruns")
     # Yield scenario for the YAT and area objectives.
-    node_nm: float = 32.0
-    growth: float = 0.3
-    stagnation_node_nm: float = 90.0
-    baseline_ipc: float = 2.05
-    # IPC items per shard.
-    chunk_size: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_faults <= 0:
-            raise ValueError("n_faults must be positive")
-        if not self.benchmarks:
-            raise ValueError("at least one benchmark required")
+    node_nm: float = param(32.0, **NODE_NM)
+    growth: float = param(0.3, **GROWTH)
+    stagnation_node_nm: float = param(90.0, **STAGNATION)
+    baseline_ipc: float = param(2.05, lo=0.01, help="no-redundancy IPC")
+    chunk_size: int = param(1, flag="--chunk-size", lo=1,
+                            help="IPC points per shard")
 
 
 def injection_spec(spec: DecideSpec) -> InjectionSpec:
@@ -306,6 +323,7 @@ class DecideCampaign(Campaign):
     data."""
 
     name = "decide"
+    title = "Pareto ranking of the 64 map-out configurations"
     spec_cls = DecideSpec
     result_cls = DecideResult
 

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runner.executor import ProgressFn
-from repro.runner.protocol import Campaign, context
+from repro.runner.protocol import Campaign, Spec, context, param
 from repro.runner.seeding import shard_ranges
 from repro.telemetry import TELEMETRY
+from repro.workloads import BENCHMARKS
 
 OUTCOMES = ("masked", "sdc", "detected", "hang")
 
@@ -33,70 +34,65 @@ DIMENSIONS = (
 )
 
 
+#: Every ICI block a fault site can belong to (see ``inject.sites``).
+BLOCKS = tuple(f"{d}.{h}" for d in DIMENSIONS for h in (0, 1)) + (
+    "chipkill",
+)
+
+#: The fault models a campaign can sample.
+FAULT_MODELS = ("transient", "stuckat", "both")
+
+
 @dataclass(frozen=True)
-class InjectionSpec:
+class InjectionSpec(Spec):
     """Everything that determines an injection campaign's outcome."""
 
-    benchmark: str = "gzip"
-    n_instructions: int = 2000
-    trace_seed: int = 7
-    counts: Tuple[int, ...] = (2, 2, 2, 2, 2, 2)  # DIMENSIONS order
-    model: str = "both"  # transient | stuckat | both
-    n_faults: int = 64
-    seed: int = 0
-    blocks: Optional[Tuple[str, ...]] = None  # restrict sites to blocks
-    chunk_size: int = 8
-    # Suffix-replay machinery (fork=False is the from-scratch reference;
-    # classifications are bit-identical either way).
-    checkpoint_interval: int = 128
-    fork: bool = True
-    # Summary-only mode: drop per-fault records, keep outcome counts,
-    # exact latency/distance aggregates, and a bounded exemplar set.
-    keep_records: bool = True
-    exemplar_cap: int = 8
-    # Site sampling: "uniform" | "weighted" (residency-proportional,
-    # profiled during the golden run).
-    sampling: str = "uniform"
-    profile_stride: int = 16
+    benchmark: str = param("gzip", flag="--benchmark", choices=BENCHMARKS,
+                           help="benchmark trace to run")
+    n_instructions: int = param(2000, flag="--instructions", lo=1,
+                                hi=1_000_000, help="golden-run length")
+    trace_seed: int = param(7, flag="--trace-seed", lo=0, help="trace seed")
+    counts: Tuple[int, ...] = param(
+        (2, 2, 2, 2, 2, 2), lo=6, hi=6, choices=(1, 2),
+        help="surviving halves per dimension, in DIMENSIONS order")
+    model: str = param("both", flag="--model", choices=FAULT_MODELS,
+                       help="fault model")
+    n_faults: int = param(64, flag=("--sites", "--faults"), lo=1,
+                          hi=100_000, help="sampled fault injections")
+    seed: int = param(0, flag="--seed", lo=0, help="fault-sample seed")
+    blocks: Optional[Tuple[str, ...]] = param(
+        None, lo=1, choices=BLOCKS, help="restrict sites to these blocks")
+    chunk_size: int = param(8, flag="--chunk-size", lo=1,
+                            help="injections per shard")
+    checkpoint_interval: int = param(
+        128, flag="--checkpoint-interval", lo=0,
+        help="golden checkpoint spacing in cycles for suffix replay")
+    fork: bool = param(True, flag="--no-fork", sets=False,
+                       help="replay from scratch, not from checkpoints "
+                            "(same classifications, more cycles)")
+    keep_records: bool = param(True, flag="--summary-only", sets=False,
+                               help="keep outcome counts + bounded "
+                                    "exemplars, not every record")
+    exemplar_cap: int = param(8, flag="--exemplars", lo=0,
+                              help="exemplars per outcome, --summary-only")
+    sampling: str = param("uniform", flag="--sampling",
+                          choices=("uniform", "weighted"),
+                          help="site sampling: uniform or residency-weighted")
+    profile_stride: int = param(16, flag="--profile-stride", lo=1,
+                                help="cycles between occupancy samples")
     # Retired replay switches, kept because ``asdict(spec)`` keys the
     # checkpoint store, service job ids and recorded digests; ``True`` is
-    # the only legal value of each (see ``__post_init__``).
-    grouped: bool = True
-    # Compressed-byte ceiling on the golden snapshot arena (0 = none).
-    snapshot_budget: int = 0
-    # Persistent golden-prefix cache under REPRO_CACHE_DIR: warm
-    # campaigns skip golden simulation entirely.
-    golden_cache: bool = False
-    first_effect: bool = True
-
-    def __post_init__(self) -> None:
-        for name, what in (
-            ("grouped", "per-fault forking without warm-core groups"),
-            ("first_effect", "forking without the first-effect scan"),
-        ):
-            if getattr(self, name) is not True:
-                raise ValueError(
-                    f"{name}={getattr(self, name)!r} selected {what}, a "
-                    f"retired replay strategy; fork=False is the "
-                    f"from-scratch reference"
-                )
-        if self.model not in ("transient", "stuckat", "both"):
-            raise ValueError(f"unknown fault model {self.model!r}")
-        if self.sampling not in ("uniform", "weighted"):
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
-        if self.n_faults < 1:
-            raise ValueError("n_faults must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0")
-        if len(self.counts) != len(DIMENSIONS) or any(
-            c not in (1, 2) for c in self.counts
-        ):
-            raise ValueError(
-                f"counts must be {len(DIMENSIONS)} values in {{1, 2}} "
-                f"({', '.join(DIMENSIONS)}), got {self.counts!r}"
-            )
+    # the only legal value of each.
+    grouped: bool = param(True, choices=(True,), help="retired")
+    snapshot_budget: int = param(
+        0, flag="--snapshot-budget", lo=0,
+        help="compressed snapshot-arena ceiling in bytes; over it, every "
+             "other checkpoint is dropped (0 = unbounded)")
+    golden_cache: bool = param(
+        False, flag="--golden-cache",
+        help="persist the golden prefix (log, checkpoints, profile) to "
+             "the cache dir and reuse it on matching reruns")
+    first_effect: bool = param(True, choices=(True,), help="retired")
 
 
 @dataclass
@@ -266,7 +262,8 @@ class InjectionStats:
         return "\n".join(lines)
 
 
-def _build_config(spec: InjectionSpec):
+def build_config(spec: InjectionSpec):
+    """The (possibly degraded) machine config of ``spec.counts``."""
     from repro.cpu.degraded import degraded_params
     from repro.cpu.params import MachineConfig
     from repro.yieldmodel.configs import CoreCounts
@@ -282,6 +279,7 @@ class InjectionCampaign(Campaign):
     shard-index order."""
 
     name = "inject"
+    title = "architectural fault injection / SDC classification"
     spec_cls = InjectionSpec
     result_cls = InjectionStats
 
@@ -297,7 +295,7 @@ class InjectionCampaign(Campaign):
         from repro.workloads.generator import generate_trace
         from repro.workloads.profiles import profile
 
-        config, _ = _build_config(spec)
+        config, _ = build_config(spec)
         trace = generate_trace(
             profile(spec.benchmark), spec.n_instructions, seed=spec.trace_seed
         )

@@ -39,7 +39,7 @@ from repro.repair.candidates import (
 )
 from repro.repair.oracle import BaseState, _equivalence_stage, verify_candidate
 from repro.repair.seedbreak import SeededBreak, seed_breaks
-from repro.runner.protocol import Campaign, context
+from repro.runner.protocol import Campaign, Spec, context, param
 from repro.runner.seeding import shard_ranges
 from repro.telemetry import TELEMETRY
 
@@ -48,32 +48,30 @@ REPAIR_MODELS = ("baseline", "rescue", "rescue-broken")
 
 
 @dataclass(frozen=True)
-class RepairSpec:
+class RepairSpec(Spec):
     """Everything that determines the repair campaign's outcome."""
 
-    model: str = "baseline"
-    tiny: bool = True
+    model: str = param(
+        "baseline", flag="--model", choices=REPAIR_MODELS,
+        help="target: the non-ICI baseline RTL, the clean Rescue RTL, or "
+             "Rescue with seeded latch-bypass breaks",
+    )
+    tiny: bool = param(True, flag="--tiny", help="use the small model")
     # Break seeding for the "rescue-broken" variant.
-    n_breaks: int = 2
-    break_seed: int = 5
-    # Blocks the fault map treats as non-isolatable (lint exemptions).
-    exempt: Tuple[str, ...] = ("chipkill",)
-    # Oracle budget: equivalence patterns and isolation faults sampled
-    # per candidate.
-    n_patterns: int = 192
-    n_isolation_faults: int = 6
-    seed: int = 0
-    # Violations per shard.
-    chunk_size: int = 2
-
-    def __post_init__(self) -> None:
-        if self.model not in REPAIR_MODELS:
-            raise ValueError(
-                f"unknown repair model {self.model!r}; "
-                f"expected one of {REPAIR_MODELS}"
-            )
-        if self.n_patterns <= 0:
-            raise ValueError("n_patterns must be positive")
+    n_breaks: int = param(2, flag="--breaks", lo=0, hi=1000,
+                          help="latch bypasses seeded into rescue-broken")
+    break_seed: int = param(5, flag="--break-seed", lo=0, help="break seed")
+    exempt: Tuple[str, ...] = param(
+        ("chipkill",), help="non-isolatable blocks (lint exemptions)")
+    # Oracle budget per candidate.
+    n_patterns: int = param(192, flag="--patterns", lo=1, hi=100_000,
+                            help="equivalence-screen patterns per candidate")
+    n_isolation_faults: int = param(
+        6, flag="--isolation-faults", lo=0, hi=100_000,
+        help="stuck-at faults sampled per candidate")
+    seed: int = param(0, flag="--seed", lo=0, help="oracle seed")
+    chunk_size: int = param(2, flag="--chunk-size", lo=1,
+                            help="violations per shard")
 
 
 def build_model(spec: RepairSpec) -> Tuple[Netlist, List[SeededBreak]]:
@@ -315,6 +313,7 @@ class RepairCampaign(Campaign):
     functions of the merged data."""
 
     name = "repair"
+    title = "verified ICI patch search over a lint report"
     spec_cls = RepairSpec
     result_cls = RepairResult
 

@@ -27,8 +27,9 @@ from repro.rtl.experiment import (
     isolation_experiment,
     sample_isolation_faults,
 )
-from repro.runner.protocol import Campaign, context
+from repro.runner.protocol import Campaign, Spec, context, param
 from repro.runner.seeding import shard_ranges
+from repro.workloads import BENCHMARKS
 from repro.yieldmodel.montecarlo import (
     ChipSpan,
     MonteCarloResult,
@@ -43,31 +44,23 @@ from repro.yieldmodel.pwp import FaultDensityModel
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IsolationSpec:
+class IsolationSpec(Spec):
     """Everything that determines the isolation campaign's outcome."""
 
-    tiny: bool = True
-    baseline: bool = False
-    atpg_seed: int = 0
-    fault_seed: int = 1
-    n_faults: int = 600
-    max_deterministic: Optional[int] = None
+    tiny: bool = param(True, flag="--tiny", help="use the small model")
+    baseline: bool = param(False, flag="--baseline",
+                           help="run on the non-ICI baseline")
+    atpg_seed: int = param(0, lo=0, help="ATPG pattern seed")
+    fault_seed: int = param(1, flag="--seed", lo=0, help="fault-sample seed")
+    n_faults: int = param(600, flag="--faults", lo=1, hi=100_000,
+                          help="faults inserted")
+    max_deterministic: Optional[int] = param(
+        None, lo=0, help="cap on deterministic ATPG targets")
     # Part of the spec hash (checkpoint keys, job ids, recorded digests),
     # so the field stays; the bit-packed engine is its only legal value.
-    backend: str = "word"
-    chunk_size: int = 50
-
-    def __post_init__(self) -> None:
-        if self.backend != "word":
-            raise ValueError(
-                f"backend {self.backend!r} is retired: the reference "
-                f"simulator and PODEM are test oracles now, and 'word' "
-                f"is the only engine"
-            )
-        if self.n_faults < 1:
-            raise ValueError("n_faults must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+    backend: str = param("word", choices=("word",), help="retired")
+    chunk_size: int = param(50, flag="--chunk-size", lo=1,
+                            help="faults per shard")
 
 
 class IsolationCampaign(Campaign):
@@ -76,6 +69,7 @@ class IsolationCampaign(Campaign):
     deterministic fault sample partitioned by contiguous chunks."""
 
     name = "isolation"
+    title = "random-fault scan isolation (§6.1)"
     spec_cls = IsolationSpec
     result_cls = IsolationStats
 
@@ -145,20 +139,41 @@ def analytic_penalty_table(full_ipc: float = 2.0):
     return flat_rescue_ipc(full_ipc, penalty)
 
 
+def _percent(text: str) -> float:
+    """``--growth``'s whole percent as the spec's fraction."""
+    return int(text) / 100
+
+
+def _whole(text: str) -> float:
+    """``--stagnation``'s whole nanometres as the spec's float."""
+    return float(int(text))
+
+
+#: Yield-scenario fields shared by the montecarlo and decide specs.
+NODE_NM = dict(flag="--node", lo=1.0, hi=1000.0, help="technology node in nm")
+GROWTH = dict(flag="--growth", parse=_percent, lo=0.0, hi=10.0,
+              help="core growth per generation (flag: whole percent)")
+STAGNATION = dict(flag="--stagnation", parse=_whole, choices=(90.0, 65.0),
+                  help="node in nm where PWP stops improving")
+
+
 @dataclass(frozen=True)
-class MonteCarloSpec:
+class MonteCarloSpec(Spec):
     """Everything that determines the chip-sampling campaign's outcome."""
 
-    node_nm: float = 32.0
-    growth: float = 0.3
-    stagnation_node_nm: float = 90.0
-    baseline_ipc: float = 2.05
-    full_ipc: float = 2.0
-    n_chips: int = 2000
-    seed: int = 0
-    anchor_node_nm: float = 90.0
-    anchor_cores: int = 1
-    chunk_size: int = 250
+    node_nm: float = param(32.0, **NODE_NM)
+    growth: float = param(0.3, **GROWTH)
+    stagnation_node_nm: float = param(90.0, **STAGNATION)
+    baseline_ipc: float = param(2.05, lo=0.01, help="no-redundancy IPC")
+    full_ipc: float = param(2.0, lo=0.01, help="fault-free Rescue IPC")
+    n_chips: int = param(2000, flag="--chips", lo=1, hi=1_000_000,
+                         help="chips sampled")
+    seed: int = param(0, flag="--seed", lo=0, help="chip-sampling seed")
+    anchor_node_nm: float = param(90.0, lo=1.0, hi=1000.0,
+                                  help="node of the one-core anchor chip")
+    anchor_cores: int = param(1, lo=1, help="cores at the anchor node")
+    chunk_size: int = param(250, flag="--chunk-size", lo=1,
+                            help="chips per shard")
 
 
 class MonteCarloCampaign(Campaign):
@@ -167,6 +182,7 @@ class MonteCarloCampaign(Campaign):
     and the single final reduction uses exactly-rounded summation."""
 
     name = "montecarlo"
+    title = "chip-sampling YAT check (§6.3)"
     spec_cls = MonteCarloSpec
     result_cls = MonteCarloResult
 
@@ -225,16 +241,27 @@ run_montecarlo = MONTECARLO.run
 # Campaign 3: degraded-configuration IPC sweep (Figure 9 inputs)
 # ----------------------------------------------------------------------
 
+#: The measured-run fields shared by the ipc and decide specs.
+INSTRUCTIONS = dict(flag="--instructions", lo=1, hi=1_000_000,
+                    help="measured instructions per IPC point")
+WARMUP = dict(flag="--warmup", lo=0, hi=1_000_000,
+              help="warm-up instructions before measuring")
+
+
 @dataclass(frozen=True)
-class IpcSweepSpec:
+class IpcSweepSpec(Spec):
     """Everything that determines the IPC-sweep campaign's outcome."""
 
-    benchmarks: Tuple[str, ...]
-    n_instructions: int = 20_000
-    warmup: int = 12_000
-    seed: int = 12345
-    compose: bool = True
-    chunk_size: int = 1
+    benchmarks: Tuple[str, ...] = param(
+        BENCHMARKS, flag="--benchmarks", lo=1, choices=BENCHMARKS,
+        help="benchmark names")
+    n_instructions: int = param(20_000, **INSTRUCTIONS)
+    warmup: int = param(12_000, **WARMUP)
+    seed: int = param(12345, lo=0, help="trace seed")
+    compose: bool = param(True, flag="--full", sets=False,
+                          help="simulate all 64 configs instead of composing")
+    chunk_size: int = param(1, flag="--chunk-size", lo=1,
+                            help="IPC points per shard")
 
 
 @dataclass
@@ -372,6 +399,7 @@ class IpcSweepCampaign(Campaign):
     trivially bit-identical across worker counts."""
 
     name = "ipc"
+    title = "degraded-configuration IPC sweep (Figure 9)"
     spec_cls = IpcSweepSpec
     result_cls = IpcSweepResult
 

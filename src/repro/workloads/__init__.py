@@ -10,10 +10,16 @@ traces drive the baseline and Rescue machines, so IPC deltas isolate the
 microarchitectural change.
 """
 
-from repro.workloads.profiles import PROFILES, BenchmarkProfile, profile
+from repro.workloads.profiles import (
+    BENCHMARKS,
+    PROFILES,
+    BenchmarkProfile,
+    profile,
+)
 from repro.workloads.generator import TraceGenerator, generate_trace
 
 __all__ = [
+    "BENCHMARKS",
     "BenchmarkProfile",
     "PROFILES",
     "TraceGenerator",

@@ -154,6 +154,9 @@ PROFILES: Tuple[BenchmarkProfile, ...] = (
 
 _BY_NAME = {p.name: p for p in PROFILES}
 
+#: Every benchmark name, in ``PROFILES`` order.
+BENCHMARKS: Tuple[str, ...] = tuple(_BY_NAME)
+
 
 def profile(name: str) -> BenchmarkProfile:
     """Look up a benchmark profile by name."""

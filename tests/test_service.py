@@ -66,9 +66,9 @@ class TestRegistry:
     def test_make_spec_fills_defaults_and_coerces_tuples(self):
         entry = get_campaign("inject")
         spec = entry.make_spec({"counts": [1, 1, 1, 1, 1, 1],
-                                "blocks": ["rob.half1"]})
+                                "blocks": ["iq_int.1"]})
         assert spec.counts == (1, 1, 1, 1, 1, 1)
-        assert spec.blocks == ("rob.half1",)
+        assert spec.blocks == ("iq_int.1",)
         assert spec.benchmark == "gzip"  # default filled
 
     def test_make_spec_rejects_unknown_params(self):
