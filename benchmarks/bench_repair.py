@@ -11,6 +11,16 @@ area added, verification outcome), and wall clock.  The CI gate
 2. **Plan determinism** — the emitted plan is bit-identical between
    serial and multi-worker execution, across a different chunking, and
    across a checkpoint/resume cycle.
+3. **Local verification is exact** — for every candidate of both models
+   at oracle seeds 0 and 2, the cone-local lint, equivalence and
+   isolation results equal ``check_netlist_ici``, the whole-netlist
+   equivalence screen and a whole-netlist ``PackedWordSimulator`` fault
+   walk, and the patched copy's cached order is a valid topological
+   order of its gates.
+
+Gates 1 and 2 run ``baseline`` at seed 0 and ``rescue-broken`` at
+seeds 0 and 2 (seed 2's plan has actions that earlier actions
+discharge).
 
 Results land in ``BENCH_repair.json`` at the repo root.
 
@@ -180,25 +190,40 @@ def measure(workers: int = 4, n_patterns: int = 192,
 
 
 def check(workers: int = 2) -> None:
-    """CI gate: verified repair + plan determinism on small specs."""
+    """CI gate: verified repair + plan determinism on small specs, and
+    local-vs-full oracle agreement on every candidate."""
     from repro.repair import RepairSpec
 
+    if str(_REPO_ROOT) not in sys.path:  # the comparison lives in tests/
+        sys.path.insert(0, str(_REPO_ROOT))
+    from tests.test_repair import assert_candidates_local_match_full
+
     summaries = []
-    for model in ("baseline", "rescue-broken"):
+    for model, seed in (("baseline", 0), ("rescue-broken", 0),
+                        ("rescue-broken", 2)):
         spec = RepairSpec(
-            model=model, tiny=True, n_patterns=96, chunk_size=4
+            model=model, tiny=True, n_patterns=96, chunk_size=4, seed=seed
         )
         result = _assert_invariance(spec, workers)
         _assert_verified(result, spec)
         summaries.append(
-            f"{model}: {result.n_repaired}/{result.n_violations} repaired"
+            f"{model} seed {seed}: {result.n_repaired}/"
+            f"{result.n_violations} repaired"
         )
+    checked = 0
+    for model in ("baseline", "rescue-broken"):
+        for seed in (0, 2):
+            checked += assert_candidates_local_match_full(RepairSpec(
+                model=model, tiny=True, n_patterns=96, chunk_size=4,
+                seed=seed,
+            ))
     print(
         "repair check OK: "
         + "; ".join(summaries)
         + f"; {workers}-worker/re-chunked/resume plans bit-identical "
         "to serial, composed patches pass netcheck + bit-exact "
-        "equivalence"
+        f"equivalence; {checked} candidates' local netcheck, "
+        "equivalence and isolation equal the whole-netlist oracles"
     )
 
 

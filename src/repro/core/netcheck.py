@@ -29,6 +29,7 @@ from typing import (
     Tuple,
 )
 
+from repro.netlist.gates import Gate
 from repro.netlist.netlist import Netlist
 
 
@@ -92,6 +93,9 @@ class NetIciReport:
     violations: List[ConeViolation] = field(default_factory=list)
     checked_observers: int = 0
     cone_blocks: Dict[str, Set[str]] = field(default_factory=dict)
+    # Per net, the non-exempt blocks feeding it in-cycle (the sweep's
+    # state; a patch re-derives only the nets it can change).
+    net_blocks: Dict[int, frozenset] = field(default_factory=dict)
 
     def describe(self) -> str:
         if self.satisfied:
@@ -112,9 +116,9 @@ class NetIciReport:
     def to_json(self) -> Dict[str, Any]:
         """Machine-readable report (the format ``repro repair`` consumes).
 
-        ``cone_blocks`` is omitted — it scales with the flop count and is
-        derivable by rerunning the checker; the violation list with
-        stable ids is the contract.
+        ``cone_blocks`` and ``net_blocks`` are omitted — they scale with
+        the netlist and are derivable by rerunning the checker; the
+        violation list with stable ids is the contract.
         """
         return {
             "satisfied": self.satisfied,
@@ -131,6 +135,37 @@ class NetIciReport:
             ],
             checked_observers=int(d["checked_observers"]),
         )
+
+
+_EMPTY: frozenset = frozenset()
+
+
+def gate_blocks(
+    gate: Gate,
+    blocks_of: Callable[[int], frozenset],
+    resolve: Callable[[str], str],
+    exempt: Set[str],
+) -> frozenset:
+    """Blocks feeding ``gate``'s output: its inputs' blocks plus its own."""
+    acc: Set[str] = set()
+    for src in gate.inputs:
+        acc |= blocks_of(src)
+    b = resolve(gate.component)
+    if b and b not in exempt:
+        acc.add(b)
+    return frozenset(acc)
+
+
+def offending_blocks(
+    cone: frozenset, own_block: str, exempt: Set[str]
+) -> Set[str]:
+    """The violation rule: cone blocks other than the observer's own.
+
+    An observer in an exempt block is never in violation.
+    """
+    if own_block in exempt:
+        return set()
+    return {b for b in cone if b != own_block}
 
 
 def check_netlist_ici(
@@ -162,18 +197,15 @@ def check_netlist_ici(
     # One topological sweep computes, per net, the set of non-exempt
     # blocks whose gates feed it combinationally.
     blocks_of_net: Dict[int, frozenset] = {}
-    empty: frozenset = frozenset()
     for net in netlist.source_nets():
-        blocks_of_net[net] = empty
+        blocks_of_net[net] = _EMPTY
+
+    def blocks_of(net: int) -> frozenset:
+        return blocks_of_net.get(net, _EMPTY)
+
     for gid in netlist.topo_gate_order():
         g = netlist.gates[gid]
-        acc: Set[str] = set()
-        for src in g.inputs:
-            acc |= blocks_of_net.get(src, empty)
-        b = resolve(g.component)
-        if b and b not in exempt:
-            acc.add(b)
-        blocks_of_net[g.output] = frozenset(acc)
+        blocks_of_net[g.output] = gate_blocks(g, blocks_of, resolve, exempt)
 
     # Map each block to one example gate for the report.
     example_gate: Dict[Tuple[int, str], int] = {}
@@ -183,7 +215,7 @@ def check_netlist_ici(
         if b:
             example_gate.setdefault((0, b), g.gid)
 
-    report = NetIciReport(satisfied=True)
+    report = NetIciReport(satisfied=True, net_blocks=blocks_of_net)
     observers: List[Tuple[str, str, int]] = [
         (f.name, resolve(f.component), f.d_net) for f in netlist.flops
     ]
@@ -192,12 +224,10 @@ def check_netlist_ici(
         for i, net in enumerate(netlist.primary_outputs)
     ]
     for name, own_block, net in observers:
-        cone = blocks_of_net.get(net, empty)
+        cone = blocks_of(net)
         report.checked_observers += 1
         report.cone_blocks[name] = set(cone)
-        offending = {b for b in cone if b != own_block}
-        if own_block in exempt:
-            offending = set()
+        offending = offending_blocks(cone, own_block, exempt)
         if offending:
             report.satisfied = False
             report.violations.append(

@@ -29,8 +29,11 @@ class Netlist:
         self.flops: List[Flop] = []
         self.primary_inputs: List[int] = []
         self.primary_outputs: List[int] = []
-        # Caches invalidated on mutation.
+        # Structure caches.  The topological order survives edits that
+        # cannot break it (see the patch primitives); ``_ready`` holds the
+        # nets it makes available: sources plus ordered gate outputs.
         self._topo: Optional[List[int]] = None
+        self._ready: Optional[Set[int]] = None
         self._driver: Optional[Dict[int, int]] = None
         self._fanout: Optional[Dict[int, List[Tuple[int, int]]]] = None
 
@@ -43,7 +46,6 @@ class Netlist:
         self.n_nets += 1
         if name:
             self.net_names[nid] = name
-        self._invalidate()
         return nid
 
     def new_nets(self, count: int, prefix: str = "") -> List[int]:
@@ -56,6 +58,8 @@ class Netlist:
         """Create a primary input net."""
         nid = self.new_net(name)
         self.primary_inputs.append(nid)
+        if self._ready is not None:
+            self._ready.add(nid)
         return nid
 
     def mark_output(self, net: int) -> None:
@@ -70,7 +74,11 @@ class Netlist:
         output: Optional[int] = None,
         component: str = "",
     ) -> int:
-        """Add a gate; returns its output net (allocated when not given)."""
+        """Add a gate; returns its output net (allocated when not given).
+
+        A gate whose inputs are all sources or outputs of ordered gates is
+        appended to the cached topological order; any other gate drops it.
+        """
         for net in inputs:
             self._check_net(net)
         if output is None:
@@ -85,7 +93,17 @@ class Netlist:
             component=component,
         )
         self.gates.append(gate)
-        self._invalidate()
+        ready = self._ready
+        if ready is not None and all(i in ready for i in gate.inputs):
+            self._topo.append(gate.gid)
+            ready.add(output)
+        else:
+            self._topo = self._ready = None
+        if self._driver is not None:
+            self._driver[output] = gate.gid
+        if self._fanout is not None:
+            for pin, src in enumerate(gate.inputs):
+                self._fanout.setdefault(src, []).append((gate.gid, pin))
         return output
 
     def add_flop(
@@ -102,14 +120,21 @@ class Netlist:
             component=component,
         )
         self.flops.append(flop)
-        self._invalidate()
+        if self._ready is not None:
+            self._ready.add(q_net)
         return flop
 
     # ------------------------------------------------------------------
     # Surgical edits (the repair subsystem's patch primitives)
     # ------------------------------------------------------------------
     def rewire_gate(self, gid: int, inputs: Sequence[int]) -> None:
-        """Re-point gate ``gid``'s input pins; type and output stay."""
+        """Re-point gate ``gid``'s input pins; type and output stay.
+
+        The cached topological order survives only when every new input
+        is a source or is driven earlier in that order; otherwise the
+        next :meth:`topo_gate_order` re-sorts (and so detects a cycle
+        the rewire closed).
+        """
         g = self.gates[gid]
         for net in inputs:
             self._check_net(net)
@@ -120,18 +145,21 @@ class Netlist:
             output=g.output,
             component=g.component,
         )
-        self._invalidate()
+        if self._topo is not None and not self._precede(inputs, gid):
+            self._topo = self._ready = None
+        self._fanout = None
 
     def set_flop_d(self, fid: int, d_net: int) -> None:
         """Re-point flop ``fid``'s D input to ``d_net``."""
         self._check_net(d_net)
         self.flops[fid].d_net = d_net
-        self._invalidate()
 
     def copy(self, name: Optional[str] = None) -> "Netlist":
         """Independent copy; edits to either netlist leave the other alone.
 
         Gates are immutable and shared; flops (mutable) are duplicated.
+        The structure caches are carried over as copies, so a patched
+        copy starts from the base's topological order.
         """
         out = Netlist(name or self.name)
         out.n_nets = self.n_nets
@@ -151,6 +179,15 @@ class Netlist:
         ]
         out.primary_inputs = list(self.primary_inputs)
         out.primary_outputs = list(self.primary_outputs)
+        if self._topo is not None:
+            out._topo = list(self._topo)
+            out._ready = set(self._ready)
+        if self._driver is not None:
+            out._driver = dict(self._driver)
+        if self._fanout is not None:
+            out._fanout = {
+                net: list(pins) for net, pins in self._fanout.items()
+            }
         return out
 
     # ------------------------------------------------------------------
@@ -183,12 +220,20 @@ class Netlist:
     def topo_gate_order(self) -> List[int]:
         """Gate ids in topological (source-to-sink) order.
 
+        The order is cached and kept across the edits that cannot break
+        it, so a patched copy extends its base's order instead of
+        re-sorting; the returned list is that cache, not a copy.
+
         Raises :class:`NetlistError` if the combinational logic contains a
         cycle — combinational cycles break both simulation and the
         single-cycle scan-test model.
         """
-        if self._topo is not None:
-            return self._topo
+        if self._topo is None:
+            self._topo, self._ready = self._sort_gates()
+        return self._topo
+
+    def _sort_gates(self) -> Tuple[List[int], Set[int]]:
+        """The full sort: (gate order, nets it makes available)."""
         seen_net: Set[int] = set(self.source_nets())
         fan_by_net: Dict[int, List[int]] = {}
         for g in self.gates:
@@ -224,8 +269,7 @@ class Netlist:
                 f"levelizable (cycle or floating input); first few: "
                 f"{unscheduled[:5]}"
             )
-        self._topo = order
-        return order
+        return order, seen_net
 
     def validate(self) -> None:
         """Check double-driven nets and levelizability; raise on failure."""
@@ -349,8 +393,22 @@ class Netlist:
         if not (0 <= net < self.n_nets):
             raise NetlistError(f"unknown net id {net}")
 
+    def _precede(self, inputs: Sequence[int], gid: int) -> bool:
+        """True when each net is a source or driven before ``gid``."""
+        order = self._topo
+        earlier = set(order[: order.index(gid)])
+        for net in inputs:
+            driver = self.driver_of(net)
+            if driver is None:
+                if net not in self._ready:
+                    return False
+            elif driver not in earlier:
+                return False
+        return True
+
     def _invalidate(self) -> None:
         self._topo = None
+        self._ready = None
         self._driver = None
         self._fanout = None
 

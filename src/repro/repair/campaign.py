@@ -27,15 +27,18 @@ HTTP campaign service drive it with zero new server code.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core.netcheck import check_netlist_ici
 from repro.netlist.area import area_breakdown
 from repro.netlist.netlist import Netlist
 from repro.repair.candidates import (
     CANDIDATE_KINDS,
+    SKIP,
     NotApplicable,
+    PatchInfo,
     apply_candidate,
+    discharged,
 )
 from repro.repair.oracle import BaseState, _equivalence_stage, verify_candidate
 from repro.repair.seedbreak import SeededBreak, seed_breaks
@@ -190,17 +193,27 @@ def apply_plan(
     netlist: Netlist,
     actions: List[RepairAction],
     exempt: Tuple[str, ...] = ("chipkill",),
-) -> List[str]:
-    """Apply a plan's actions in order, in place; returns the patch log.
+) -> List[PatchInfo]:
+    """Apply a plan's actions in order, in place; one info per action.
 
     Actions are symbolic (observer + kind), so re-application on any
-    equal netlist reproduces the workers' patches gate for gate.
+    equal netlist reproduces the workers' patches gate for gate.  Each
+    action was verified against the unpatched base, and an earlier
+    action can discharge a later one's violation (a latch re-points cone
+    readers that other observers share): before each action its
+    observer's cone is re-checked on the partly patched netlist, and an
+    action whose violation is gone is skipped (kind ``"skip"``).
     """
-    log: List[str] = []
+    infos: List[PatchInfo] = []
     for a in actions:
-        info = apply_candidate(netlist, a.kind, a.observer, exempt=exempt)
-        log.append(info.log_line())
-    return log
+        if discharged(netlist, a.observer, exempt):
+            infos.append(PatchInfo(kind=SKIP, observer=a.observer,
+                                   note="discharged by earlier actions"))
+        else:
+            infos.append(
+                apply_candidate(netlist, a.kind, a.observer, exempt=exempt)
+            )
+    return infos
 
 
 @dataclass
@@ -367,8 +380,9 @@ def _compose_and_verify(
 ) -> RepairResult:
     """Compose the chosen plan and re-verify the patched model whole."""
     netlist, report = base.netlist, base.report
-    patched, _log = patch_model(spec, actions, netlist=netlist)
-    preport = check_netlist_ici(patched, exempt_blocks=spec.exempt)
+    patched = netlist.copy()
+    infos = apply_plan(patched, actions, exempt=spec.exempt)
+    satisfied = check_netlist_ici(patched, exempt_blocks=spec.exempt).satisfied
     verdict, _sim, _values = _equivalence_stage(base, patched, spec.seed)
     base_area = area_breakdown(netlist).total
     if TELEMETRY.enabled:
@@ -381,8 +395,11 @@ def _compose_and_verify(
         unrepaired=unrepaired,
         breaks=[b.describe() for b in breaks],
         base_area=base_area,
-        extra_area=sum(a.extra_area for a in actions),
-        patched_satisfied=preport.satisfied,
+        extra_area=sum(
+            a.extra_area for a, info in zip(actions, infos)
+            if info.kind != SKIP
+        ),
+        patched_satisfied=satisfied,
         equivalent=verdict is None,
         n_patterns=spec.n_patterns,
     )
@@ -391,15 +408,13 @@ def _compose_and_verify(
 def patch_model(
     spec: RepairSpec,
     actions: List[RepairAction],
-    netlist: Optional[Netlist] = None,
 ) -> Tuple[Netlist, List[str]]:
     """The patched netlist for a plan, plus its transform log.
 
-    Rebuilds the spec's model (breaks included) unless ``netlist`` is
-    given, then applies the actions to a copy — the ``--apply`` path.
+    Rebuilds the spec's model (breaks included) and applies the actions
+    to it — the ``--apply`` path.  The log has one line per action,
+    skipped actions included.
     """
-    if netlist is None:
-        netlist, _breaks = build_model(spec)
-    patched = netlist.copy()
-    log = apply_plan(patched, actions, exempt=spec.exempt)
-    return patched, log
+    patched, _breaks = build_model(spec)
+    infos = apply_plan(patched, actions, exempt=spec.exempt)
+    return patched, [info.log_line() for info in infos]

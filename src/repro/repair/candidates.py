@@ -17,17 +17,16 @@ shapes discharge it, cheapest-possible first:
 - **latch** — stage the first foreign net feeding the cone through a new
   flop owned by the observer's block.  This is the component-graph
   ``cycle_split`` expressed in gates; it changes cycle-level timing, so
-  the functional-equivalence oracle rejects it whenever the single-cycle
-  contract matters (which is the campaign's default contract).  It is
-  generated anyway: a sound oracle must be seen rejecting plausible
-  candidates.
+  the functional-equivalence screen rejects it whenever a sampled
+  pattern exposes the delay.  It is generated anyway: a sound oracle
+  must be seen rejecting plausible candidates.
 
 Every candidate application mutates a *copy* of the base netlist through
 the :class:`~repro.netlist.netlist.Netlist` patch primitives and returns
 a :class:`PatchInfo` for the oracle (new gates to fault-sample, area
 charged by :func:`~repro.netlist.area.gate_area`).  Application is a
-pure function of (netlist state, observer, kind), so workers and the
-final plan composition produce identical patches.
+pure function of (netlist state, observer, kind), so re-applying a plan
+to the same model reproduces its patched netlist exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ from repro.netlist.netlist import Netlist
 
 #: Candidate kinds in generation order (relabel first: cheapest).
 CANDIDATE_KINDS = ("relabel", "redrive", "latch")
+
+#: :class:`PatchInfo` kind of a plan action that earlier actions made moot.
+SKIP = "skip"
 
 
 class NotApplicable(Exception):
@@ -59,6 +61,8 @@ class PatchInfo:
     note: str = ""
 
     def log_line(self) -> str:
+        if self.kind == SKIP:
+            return f"{SKIP} {self.observer}: {self.note}"
         return (
             f"{self.kind} {self.observer} "
             f"(+{self.extra_area:.2f} area) {self.note}"
@@ -107,6 +111,29 @@ def _cone_foreign_blocks(
     return blocks
 
 
+def _observer_cone(netlist, observer, exempt, resolve):
+    """(flop, own block, cone gate ids, foreign blocks) of an observer."""
+    flop = _find_flop(netlist, observer)
+    own = resolve(flop.component)
+    cone = _cone_gids(netlist, flop.d_net)
+    foreign = _cone_foreign_blocks(netlist, cone, own, exempt, resolve)
+    return flop, own, cone, foreign
+
+
+def discharged(
+    netlist: Netlist, observer: str, exempt: Sequence[str] = ()
+) -> bool:
+    """True when ``observer``'s cone is already single-block.
+
+    This is :func:`apply_candidate`'s applicability test: every candidate
+    kind raises :class:`NotApplicable` on such an observer.
+    """
+    _flop, _own, _cone, foreign = _observer_cone(
+        netlist, observer, set(exempt), _default_block
+    )
+    return not foreign
+
+
 def apply_candidate(
     netlist: Netlist,
     kind: str,
@@ -122,10 +149,7 @@ def apply_candidate(
     """
     resolve = block_of or _default_block
     ex = set(exempt)
-    flop = _find_flop(netlist, observer)
-    own = resolve(flop.component)
-    cone = _cone_gids(netlist, flop.d_net)
-    foreign = _cone_foreign_blocks(netlist, cone, own, ex, resolve)
+    flop, own, cone, foreign = _observer_cone(netlist, observer, ex, resolve)
     if not foreign:
         raise NotApplicable(f"{observer}: cone already single-block")
     if kind == "relabel":
@@ -211,7 +235,8 @@ def _apply_latch(netlist, flop, cone, own, exempt, resolve) -> PatchInfo:
 
     Sound at the component level (it is ``cycle_split`` in gates) but it
     delays the staged value by one cycle, so the single-cycle functional
-    equivalence screen is expected to reject it.
+    equivalence screen rejects it whenever a sampled pattern exposes the
+    delay.
     """
     if not own:
         raise NotApplicable(f"{flop.name}: observer has no block")

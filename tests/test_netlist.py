@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netlist import GateType, NetBuilder, Netlist, NetlistError, Simulator
 from repro.netlist.simulate import PackedSimulator
@@ -325,3 +326,132 @@ class TestNetBuilder:
             _, po, _ = sim.evaluate(pi)
             got = sum(po[out[i]] << i for i in range(4))
             assert got == want
+
+
+# ----------------------------------------------------------------------
+# The maintained topological order
+# ----------------------------------------------------------------------
+
+def assert_topological(nl: Netlist) -> None:
+    """``nl``'s (cached) order lists each gate once, after its drivers."""
+    order = nl.topo_gate_order()
+    assert sorted(order) == list(range(len(nl.gates)))
+    ready = set(nl.source_nets())
+    for gid in order:
+        g = nl.gates[gid]
+        assert all(i in ready for i in g.inputs), (gid, g.inputs)
+        ready.add(g.output)
+
+
+_SHAPES = [
+    (GateType.AND, 2), (GateType.OR, 3), (GateType.XOR, 2),
+    (GateType.NOT, 1), (GateType.BUF, 1), (GateType.MUX2, 3),
+]
+
+
+def _draw_netlist(data) -> Netlist:
+    """A random acyclic netlist with primary inputs, flops and gates."""
+    nl = Netlist("prop")
+    nets = [nl.add_input(f"i{k}") for k in range(data.draw(st.integers(1, 4)))]
+    for k in range(data.draw(st.integers(0, 3))):
+        nets.append(nl.add_flop(nets[0], name=f"f{k}").q_net)
+    for _ in range(data.draw(st.integers(1, 12))):
+        gtype, arity = data.draw(st.sampled_from(_SHAPES))
+        ins = [data.draw(st.sampled_from(nets)) for _ in range(arity)]
+        nets.append(nl.add_gate(gtype, ins))
+    for f in nl.flops:
+        nl.set_flop_d(f.fid, data.draw(st.sampled_from(nets)))
+    return nl
+
+
+def _draw_edit(data, nl: Netlist) -> None:
+    """One random edit; rewires and drives may close a cycle."""
+    any_net = st.integers(0, nl.n_nets - 1)
+    op = data.draw(st.sampled_from(
+        ["add_gate", "add_flop", "set_flop_d", "rewire", "new_net",
+         "drive", "check"]
+    ))
+    if op == "add_gate":
+        gtype, arity = data.draw(st.sampled_from(_SHAPES))
+        nl.add_gate(gtype, [data.draw(any_net) for _ in range(arity)])
+    elif op == "add_flop":
+        nl.add_flop(data.draw(any_net))
+    elif op == "set_flop_d" and nl.flops:
+        fid = data.draw(st.integers(0, len(nl.flops) - 1))
+        nl.set_flop_d(fid, data.draw(any_net))
+    elif op == "rewire":
+        gid = data.draw(st.integers(0, len(nl.gates) - 1))
+        arity = len(nl.gates[gid].inputs)
+        nl.rewire_gate(gid, [data.draw(any_net) for _ in range(arity)])
+    elif op == "new_net":
+        nl.new_net()
+    elif op == "drive":
+        # Drive a floating net: closes a loop when the input reads it.
+        driven = {g.output for g in nl.gates} | set(nl.source_nets())
+        floating = [n for n in range(nl.n_nets) if n not in driven]
+        if floating:
+            nl.add_gate(GateType.BUF, [data.draw(any_net)],
+                        output=data.draw(st.sampled_from(floating)))
+    elif op == "check":
+        _assert_order_matches_full_sort(nl)
+
+
+def _assert_order_matches_full_sort(nl: Netlist) -> None:
+    """The maintained order is valid exactly when a full sort succeeds."""
+    try:
+        nl._sort_gates()
+    except NetlistError:
+        with pytest.raises(NetlistError):
+            nl.topo_gate_order()
+        with pytest.raises(NetlistError):
+            nl.validate()
+        return
+    assert_topological(nl)
+    nl.validate()
+
+
+class TestMaintainedOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_edits_keep_a_valid_order_or_detect_the_cycle(self, data):
+        nl = _draw_netlist(data)
+        if data.draw(st.booleans()):
+            nl.topo_gate_order()  # start from a cached order
+        for _ in range(data.draw(st.integers(1, 12))):
+            _draw_edit(data, nl)
+        _assert_order_matches_full_sort(nl)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_editing_a_copy_leaves_the_base_alone(self, data):
+        base = _draw_netlist(data)
+        order = list(base.topo_gate_order())
+        gates, flops = list(base.gates), [f.d_net for f in base.flops]
+        copy = base.copy()
+        for _ in range(data.draw(st.integers(1, 12))):
+            _draw_edit(data, copy)
+        _assert_order_matches_full_sort(copy)
+        assert base.gates == gates
+        assert [f.d_net for f in base.flops] == flops
+        assert base.topo_gate_order() == order
+        assert base._sort_gates()[0] == order
+        # The base's caches stay its own: a net the copy created is
+        # floating in the base, so reading it there breaks the order.
+        while base.n_nets < copy.n_nets:
+            base.new_net()
+        base.add_gate(GateType.NOT, [base.n_nets - 1])
+        _assert_order_matches_full_sort(base)
+
+    def test_fresh_netlist_gets_the_full_sort(self):
+        nl, _ = _tiny_mux_circuit()
+        nl.add_gate(GateType.NOT, [nl.primary_inputs[0]])
+        assert nl.topo_gate_order() == nl._sort_gates()[0]
+
+    def test_rewire_to_a_later_driver_resorts(self):
+        nl = Netlist()
+        a = nl.add_input("a")
+        for _ in range(2):
+            nl.add_gate(GateType.NOT, [a])
+        first, second = nl.topo_gate_order()
+        nl.rewire_gate(first, [nl.gates[second].output])
+        assert nl.topo_gate_order() == [second, first]

@@ -7,16 +7,22 @@ and the chosen candidate is area-minimal), and the emitted plan is
 bit-identical for any worker count, chunking, or resume history.
 """
 
+import dataclasses
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from repro.core.netcheck import check_netlist_ici
+from repro.core.netcheck import _default_block, check_netlist_ici
+from repro.netlist.faults import StuckAt
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.repair import (
+    CANDIDATE_KINDS,
     BaseState,
     NotApplicable,
+    PatchInfo,
     RepairSpec,
     apply_candidate,
     build_model,
@@ -26,6 +32,12 @@ from repro.repair import (
     seed_breaks,
     verify_candidate,
 )
+from repro.repair.oracle import (
+    PatchView,
+    _equivalence_stage,
+    _isolation_stage,
+)
+from tests.test_netlist import assert_topological
 
 BASELINE = RepairSpec(model="baseline", tiny=True, n_patterns=96)
 BROKEN = RepairSpec(model="rescue-broken", tiny=True, n_patterns=96)
@@ -291,6 +303,218 @@ class TestDeterminism:
             BASELINE, resume=True, cache_root=tmp_path
         ).to_json()
         assert resumed == serial
+
+
+# ----------------------------------------------------------------------
+# Local verification against the whole-netlist oracles
+# ----------------------------------------------------------------------
+
+def assert_local_matches_full(
+    base: BaseState,
+    patched: Netlist,
+    info: PatchInfo,
+    *,
+    exempt=(),
+    n_isolation_faults: int = 6,
+    seed: int = 0,
+) -> None:
+    """Each local oracle result on one candidate equals the full one.
+
+    The cached order must be a valid order of the patched gates; the
+    lint's violators must equal :func:`check_netlist_ici`'s; the
+    patched good value of every net, and the equivalence verdict, must
+    equal :func:`_equivalence_stage`'s; and every sampled fault must fail
+    the same flops as a whole-netlist ``PackedWordSimulator`` walk, so
+    the isolation verdict agrees too.
+    """
+    assert_topological(patched)
+    view = PatchView(base, patched)
+    full = check_netlist_ici(patched, exempt_blocks=exempt)
+    assert view.violators(set(exempt), _default_block) == {
+        v.observer for v in full.violations
+    }, info.log_line()
+    verdict, good = view.equivalence(seed)
+    full_verdict, sim, values = _equivalence_stage(base, patched, seed)
+    assert verdict == full_verdict, info.log_line()
+    for net in range(patched.n_nets):
+        local = good[net] if net in good else base.values.int_of(net)
+        assert local == values.int_of(net), (info.log_line(), net)
+    for gid in info.sample_gates:
+        for value in (0, 1):
+            fault = StuckAt(net=patched.gates[gid].output, value=value)
+            assert view.failing_fids(good, fault) == (
+                sim.failing_observations(values, fault)[0]
+            ), (info.log_line(), fault.describe())
+    args = (info.sample_gates, n_isolation_faults, seed, exempt, None)
+    assert _isolation_stage(
+        patched, lambda f: view.failing_fids(good, f), *args
+    ) == _isolation_stage(
+        patched, lambda f: sim.failing_observations(values, f)[0], *args
+    ), info.log_line()
+
+
+def assert_candidates_local_match_full(spec: RepairSpec, limit=None) -> int:
+    """Check every candidate of ``spec``'s first ``limit`` violations;
+    returns the number of candidates checked."""
+    from repro.repair.campaign import REPAIR
+    from repro.runner import context
+
+    base = context(REPAIR, spec)["base"]
+    checked = 0
+    for v in base.report.violations[:limit]:
+        if v.observer.startswith("po["):
+            continue
+        for kind in CANDIDATE_KINDS:
+            patched = base.netlist.copy()
+            try:
+                info = apply_candidate(
+                    patched, kind, v.observer, exempt=spec.exempt
+                )
+            except NotApplicable:
+                continue
+            assert_local_matches_full(
+                base, patched, info, exempt=spec.exempt,
+                n_isolation_faults=spec.n_isolation_faults, seed=spec.seed,
+            )
+            checked += 1
+    return checked
+
+
+class TestLocalVerification:
+    @pytest.mark.parametrize("build,observer,kind", [
+        (_two_block_netlist, "b.f", "redrive"),
+        (_two_block_netlist, "b.f", "latch"),
+        (_relabel_netlist, "c.f", "relabel"),
+        (_relabel_netlist, "c.f", "redrive"),
+    ])
+    def test_hand_built_candidates(self, build, observer, kind):
+        n = build()
+        base = BaseState.build(n, check_netlist_ici(n), 64, seed=1)
+        patched = n.copy()
+        info = apply_candidate(patched, kind, observer)
+        assert_local_matches_full(base, patched, info, seed=1)
+
+    def test_patch_that_reorders_gates(self):
+        # Rewiring a gate to a later driver re-sorts the patched order;
+        # the local stages then position every gate anew.
+        n = _two_block_netlist()
+        base = BaseState.build(n, check_netlist_ici(n), 64, seed=1)
+        patched = n.copy()
+        x = patched.primary_inputs[0]
+        nx = patched.add_gate(GateType.NOT, [x], component="a/logic")
+        patched.rewire_gate(0, [x, nx])
+        order = patched.topo_gate_order()
+        assert order != n.topo_gate_order() + [2]
+        info = PatchInfo(kind="test", observer="a.f", sample_gates=(0, 2))
+        assert_local_matches_full(base, patched, info, seed=1)
+        assert not verify_candidate(base, patched, "b.f", (0, 2)).ok
+
+    @pytest.mark.parametrize("model", ["baseline", "rescue-broken"])
+    def test_model_candidates(self, model):
+        spec = RepairSpec(model=model, n_patterns=96, seed=2)
+        assert assert_candidates_local_match_full(spec, limit=4) >= 8
+
+
+# ----------------------------------------------------------------------
+# Plan composition: earlier actions may discharge later violations
+# ----------------------------------------------------------------------
+
+class TestComposition:
+    # 192 patterns is the campaign default, 96 the bench gate's count;
+    # the 28 cases take about 15 s together.
+    @pytest.mark.parametrize("n_patterns", [192, 96])
+    @pytest.mark.parametrize("seed", range(14))
+    def test_rescue_broken_composes(self, seed, n_patterns):
+        spec = RepairSpec(model="rescue-broken", seed=seed,
+                          n_patterns=n_patterns)
+        res = run_repair(spec, checkpoint=False)
+        assert res.n_repaired == res.n_violations > 0
+        assert not res.unrepaired
+        assert res.patched_satisfied and res.equivalent
+        _patched, log = patch_model(spec, res.actions)
+        assert len(log) == len(res.actions)
+        assert res.extra_area == pytest.approx(sum(
+            a.extra_area for a, line in zip(res.actions, log)
+            if not line.startswith("skip ")
+        ))
+
+    def test_discharged_action_is_skipped_and_logged(self):
+        spec = RepairSpec(model="rescue-broken", seed=2)
+        res = run_repair(spec, checkpoint=False)
+        _patched, log = patch_model(spec, res.actions)
+        skipped = [line for line in log if line.startswith("skip ")]
+        assert skipped
+        assert all(
+            line.endswith(": discharged by earlier actions")
+            for line in skipped
+        )
+
+
+# ----------------------------------------------------------------------
+# Verification cost: setup plus compose, never per candidate
+# ----------------------------------------------------------------------
+
+class TestVerificationCost:
+    def test_no_per_candidate_sort_lint_or_compile(self, monkeypatch):
+        from repro.core import netcheck
+        from repro.netlist.compiled import CompiledNetlist
+        from repro.repair import campaign
+        from repro.runner import clear_contexts
+
+        counts: Counter = Counter()
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Netlist, "_sort_gates",
+                            counting("sort", Netlist._sort_gates))
+        monkeypatch.setattr(CompiledNetlist, "__init__",
+                            counting("compile", CompiledNetlist.__init__))
+        for module in (netcheck, campaign):
+            monkeypatch.setattr(
+                module, "check_netlist_ici",
+                counting("lint", module.check_netlist_ici),
+            )
+        clear_contexts()  # count the setup too
+        res = run_repair(dataclasses.replace(BASELINE, seed=11),
+                         checkpoint=False)
+        assert res.candidate_counts()["generated"] > 200
+        # Setup: one sort of the built model, one lint, one compile.
+        # Compose: one lint and one compile of the patched model.
+        assert counts == {"sort": 1, "lint": 2, "compile": 2}
+
+
+# ----------------------------------------------------------------------
+# ``repro repair --apply`` outputs, pinned byte for byte
+# ----------------------------------------------------------------------
+
+class TestApplyOutputPins:
+    @pytest.mark.parametrize("args,v_sha,plan_sha", [
+        ([],
+         "d505ae0d51099f9fe2c1789149e9d18cac60cc1054bdba4e896f0fc04d3df649",
+         "14e6dd9303d27bf0ab800bba30ab75b34e6dcfbc2e787046113bc93a1c22b61f"),
+        (["--model", "rescue-broken"],
+         "eec530eccf5fafef98427f7dc18d8f612ac468b185916a2be107e5199a34ab25",
+         "8166756449cfa58c08491ca06e09d496cbe95096079753b9e60dbf8e53c32566"),
+    ])
+    def test_outputs_match_pins(self, tmp_path, capsys, args, v_sha,
+                                plan_sha):
+        from repro.cli import main
+
+        prefix = tmp_path / "P"
+        code = main(["repair", "--tiny", "--no-checkpoint", *args,
+                     "--apply", str(prefix)])
+        assert code == 0
+        capsys.readouterr()
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        assert sha(tmp_path / "P.v") == v_sha
+        assert sha(tmp_path / "P.plan.json") == plan_sha
 
 
 # ----------------------------------------------------------------------
